@@ -1,6 +1,7 @@
 """Time propagation by three independent routes and their cross-validation.
 
-Route (a): split-step (Strang) spectral evolution of the wavefunction.
+Every route is a spectral Strang splitting run by one engine, `_strang`.
+Route (a): split-step evolution of the wavefunction.
 Route (b): exact phase-space evolution of the Wigner field -- kinetic
            shear solved by FFT over x, potential kick solved exactly in
            the x' representation with the resummed kernel
@@ -9,10 +10,9 @@ Route (b): exact phase-space evolution of the Wigner field -- kinetic
 Route (c): two-coordinate Schrodinger-like evolution of the
            characteristic kernel Z(y, y').
 
-A fourth, deliberately approximate route integrates the truncated
-potential series (transport plus the first n_max odd-derivative
-correction terms) by RK4 with spectral derivatives; n_max = 0 is the
-classical Liouville equation.
+A fourth, deliberately approximate route is route (b) with the kick
+kernel cut to its Taylor series in x' up to the n_max-th quantum
+correction; n_max = 0 is the classical Liouville equation.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from ._spectral import centered_fft, centered_ifft
 from .errors import MonitorError, PropagationError
 from .grid import PhaseGrid
 from .observables import expectation_operator
@@ -32,7 +31,7 @@ from .wigner import (CharacteristicZ, WignerFunction, factorize_characteristic,
 __all__ = [
     "EvolutionReport", "propagate_schrodinger", "propagate_moyal_exact",
     "propagate_moyal_truncated", "propagate_characteristic",
-    "cross_validate", "boundary_mass",
+    "cross_validate", "boundary_mass", "sample_steps",
 ]
 
 BANDWIDTH_FRACTION = 0.8      # admissible fraction of the momentum Nyquist
@@ -41,7 +40,7 @@ NORM_DRIFT_TOL = 1e-9
 BOUNDARY_FLAG = 1e-8
 BOUNDARY_HARD = 1e-4
 REALNESS_TOL = 1e-10
-STIFFNESS_TOL = 1e-6          # admissible relative L2 growth per RK4 step
+HERMITICITY_TOL = 1e-10
 
 
 def _check_steps(dt: float, steps: int) -> None:
@@ -51,30 +50,72 @@ def _check_steps(dt: float, steps: int) -> None:
         raise PropagationError(f"negative step count: {steps}")
 
 
+def sample_steps(sample_times, dt: float) -> list:
+    """Step counts that carry a run from t = 0 through each sample time,
+    each of which must lie a whole number of steps after the previous."""
+    _check_steps(dt, 0)
+    counts = []
+    t = 0.0
+    for target in sample_times:
+        steps = int(round((target - t) / dt))
+        if abs(target - t - steps * dt) > 1e-9 * max(dt, 1.0) or steps < 0:
+            raise PropagationError(
+                f"sample time {target} is not a multiple of dt={dt}")
+        counts.append(steps)
+        t += steps * dt
+    return counts
+
+
 def boundary_mass(values: np.ndarray, axes=(0,)) -> float:
     """Fraction of |field| mass in the outer 5% of the given axes."""
-    total = float(np.sum(np.abs(values)))
+    magnitude = np.abs(values)
+    total = float(np.sum(magnitude))
     if total == 0.0:
         return 0.0
-    mask = np.zeros(values.shape, dtype=bool)
+    # sum the edge slabs of a shrinking interior, so no cell counts twice
+    inner = [slice(None)] * magnitude.ndim
+    edge_sum = 0.0
     for ax in axes:
-        n = values.shape[ax]
+        n = magnitude.shape[ax]
         edge = max(1, n // 20)
-        idx = [slice(None)] * values.ndim
-        idx[ax] = slice(0, edge)
-        mask[tuple(idx)] = True
-        idx[ax] = slice(n - edge, n)
-        mask[tuple(idx)] = True
-    return float(np.sum(np.abs(values)[mask])) / total
+        upper = max(edge, n - edge)
+        for band in (slice(0, edge), slice(upper, n)):
+            inner[ax] = band
+            edge_sum += float(np.sum(magnitude[tuple(inner)]))
+        inner[ax] = slice(edge, upper)
+    return edge_sum / total
 
 
-def _check_boundary(values: np.ndarray, axes, flags: list | None) -> None:
-    mass = boundary_mass(values, axes)
-    if mass > BOUNDARY_HARD:
-        raise MonitorError(
-            f"boundary density {mass:.3e} exceeds hard limit {BOUNDARY_HARD}")
-    if flags is not None and mass > BOUNDARY_FLAG:
-        flags.append(mass)
+def _strang(route: str, values: np.ndarray, t0: float, dt: float,
+            steps: int, forward, inverse, a_phase, kick, readings,
+            boundary, flags: list | None) -> np.ndarray:
+    """Apply e^{A dt/2} (e^{B dt} e^{A dt})^(steps-1) e^{B dt} e^{A dt/2}.
+
+    a_phase(tau) multiplies forward(state) to apply e^{A tau}; kick
+    applies e^{B dt}.  Merging the half steps leaves the state half an A
+    step short of t0 + s*dt after step s < steps.  After each step every
+    (quantity, value, threshold) of readings(values, spec, kicked) and
+    the boundary mass must stay within threshold (NaN trips too), else
+    MonitorError; boundary masses above BOUNDARY_FLAG go to flags.
+    """
+    a_full = a_phase(dt)
+    a_half = a_phase(0.5 * dt)
+    values = inverse(forward(values) * a_half)
+    for step in range(1, steps + 1):
+        kicked = kick(values)
+        spec = forward(kicked)
+        spec *= a_full if step < steps else a_half
+        values = inverse(spec)
+        mass = boundary(values)
+        for quantity, value, threshold in (
+                *readings(values, spec, kicked),
+                ("boundary mass", mass, BOUNDARY_HARD)):
+            if not value <= threshold:
+                raise MonitorError(route, step, t0 + step * dt, quantity,
+                                   value, threshold)
+        if flags is not None and mass > BOUNDARY_FLAG:
+            flags.append(mass)
+    return values
 
 
 def propagate_schrodinger(psi: Wavefunction, potential: Potential,
@@ -83,74 +124,85 @@ def propagate_schrodinger(psi: Wavefunction, potential: Potential,
     """Strang split-step evolution under H = p^2/2m + V(x).
 
     Half kinetic phase in momentum space, full potential phase in
-    position space, half kinetic.  Norm is conserved to machine
-    precision per step; global error is O(dt^2).
+    position space, half kinetic; adjacent kinetic halves merge, so a
+    step costs one FFT pair.  Norm is conserved to machine precision per
+    step; global error is O(dt^2).
     """
     _check_steps(dt, steps)
     if steps == 0:
         return psi
     check_normalized(psi)
     g = psi.grid
-    k = g.wavenumbers_x()
-    p_op = g.hbar * k
-    kin_half = np.exp(-1j * p_op ** 2 * dt / (4.0 * g.mass * g.hbar))
+    p_op = g.hbar * g.wavenumbers_x()
     pot_full = np.exp(-1j * potential.value(g.x) * dt / g.hbar)
     band = np.abs(p_op) > BANDWIDTH_FRACTION * np.max(np.abs(p_op))
 
-    samples = psi.samples.copy()
-    for _ in range(steps):
-        spec = kin_half * np.fft.fft(samples)
-        tail = float(np.sum(np.abs(spec[band]) ** 2)
-                     / np.sum(np.abs(spec) ** 2))
-        if tail > BANDWIDTH_TOL:
-            raise MonitorError(
-                f"spectral mass {tail:.3e} beyond {BANDWIDTH_FRACTION:.0%} "
-                "of the momentum Nyquist")
-        samples = np.fft.ifft(spec)
-        samples *= pot_full
-        samples = np.fft.ifft(kin_half * np.fft.fft(samples))
-        nrm2 = float(np.sum(np.abs(samples) ** 2) * g.dx)
-        if abs(nrm2 - 1.0) > NORM_DRIFT_TOL:
-            raise MonitorError(f"norm drift {nrm2 - 1.0:.3e} beyond "
-                               f"{NORM_DRIFT_TOL}")
-        _check_boundary(np.abs(samples) ** 2, (0,), boundary_flags)
+    def readings(samples, spec, kicked):
+        # the kinetic phase leaves |spectrum| unchanged
+        power = np.abs(spec) ** 2
+        yield (f"spectral mass beyond {BANDWIDTH_FRACTION:.0%} of the "
+               "momentum Nyquist", float(np.sum(power[band]) / np.sum(power)),
+               BANDWIDTH_TOL)
+        yield ("norm drift",
+               abs(float(np.sum(np.abs(samples) ** 2) * g.dx) - 1.0),
+               NORM_DRIFT_TOL)
+
+    samples = _strang(
+        "schrodinger", psi.samples, psi.t, dt, steps,
+        forward=np.fft.fft, inverse=np.fft.ifft,
+        a_phase=lambda tau: np.exp(-1j * p_op ** 2 * tau
+                                   / (2.0 * g.mass * g.hbar)),
+        kick=lambda s: s * pot_full, readings=readings,
+        boundary=lambda s: boundary_mass(np.abs(s) ** 2, (0,)),
+        flags=boundary_flags)
     return Wavefunction(g, samples, psi.t + steps * dt)
 
 
 def _shear_phase(g: PhaseGrid, tau: float) -> np.ndarray:
-    """Spectral multiplier advecting W in x by p*tau/m (exact)."""
-    kx = g.wavenumbers_x()
+    """Real-FFT multiplier advecting W in x by p*tau/m (exact)."""
+    kx = g.wavenumbers_x()[:g.n // 2 + 1]
     phase = np.exp(-1j * np.outer(kx, g.p) * tau / g.mass)
     # unpaired Nyquist row must stay real for a real field
-    phase[g.n // 2, :] = phase[g.n // 2, :].real
+    phase[-1] = phase[-1].real
     return phase
 
 
-def _kick_phase(g: PhaseGrid, potential: Potential, dt: float) -> np.ndarray:
-    """Multiplier applied in the (x, x') representation: the exact
-    resummed potential kernel exp(-i dt [V(x+x'/2) - V(x-x'/2)] / hbar)."""
-    x = g.x[:, None]
+def _phase_space_split(route: str, w: WignerFunction, kernel, dt: float,
+                       steps: int, flags: list | None) -> WignerFunction:
+    """Shear-kick-shear evolution; the kick is exp(-i dt kernel / hbar)."""
+    g = w.grid
+    if g.n % 2:
+        raise PropagationError(
+            f"phase-space evolution needs an even sample count, got {g.n}")
     half_sep = 0.5 * (np.arange(g.n) - g.n // 2)[None, :] * g.dx
-    diff = potential.value(x + half_sep) - potential.value(x - half_sep)
-    phase = np.exp(-1j * dt / g.hbar * diff)
+    kick_phase = np.exp(-1j * dt / g.hbar * kernel(g.x[:, None], half_sep))
     # x' = -L/2 has no mirror bin; leave it untouched to preserve the
     # Hermitian symmetry that keeps W real
-    phase[:, 0] = 1.0
-    return phase
+    kick_phase[:, 0] = 1.0
+    # For even n the centering shifts of the p <-> x' transform pair
+    # cancel around the kick, up to this reordering of the multiplier.
+    kick_phase = np.fft.ifftshift(kick_phase, axes=1)
+    total0 = w.total()
 
+    def readings(values, spec, kicked):
+        # the kick is a complex transform pair so that this residue
+        # measures how far the kicked field is from real
+        yield ("imaginary residue after the kick",
+               float(np.max(np.abs(kicked.imag))), REALNESS_TOL)
+        yield ("phase-space norm drift",
+               abs(float(np.sum(values) * g.dx * g.dp - total0)),
+               NORM_DRIFT_TOL)
 
-def _apply_shear(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(phase * np.fft.fft(values, axis=0), axis=0).real
-
-
-def _apply_kick(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    corr = centered_ifft(values.astype(complex), axis=1)
-    out = centered_fft(phase * corr, axis=1)
-    residue = float(np.max(np.abs(out.imag)))
-    if residue > REALNESS_TOL:
-        raise MonitorError(
-            f"imaginary residue {residue:.3e} after potential kick")
-    return out.real
+    values = _strang(
+        route, w.values, w.t, dt, steps,
+        forward=lambda v: np.fft.rfft(v.real, axis=0),
+        inverse=lambda spec: np.fft.irfft(spec, g.n, axis=0),
+        a_phase=lambda tau: _shear_phase(g, tau),
+        kick=lambda v: np.fft.fft(kick_phase * np.fft.ifft(v, axis=1),
+                                  axis=1),
+        readings=readings, boundary=lambda v: boundary_mass(v, (0, 1)),
+        flags=flags)
+    return WignerFunction(g, values, w.t + steps * dt)
 
 
 def propagate_moyal_exact(w: WignerFunction, potential: Potential,
@@ -165,90 +217,46 @@ def propagate_moyal_exact(w: WignerFunction, potential: Potential,
     _check_steps(dt, steps)
     if steps == 0:
         return w
-    g = w.grid
-    half = _shear_phase(g, 0.5 * dt)
-    full = _shear_phase(g, dt)
-    kick = _kick_phase(g, potential, dt)
-    total0 = w.total()
-
-    values = _apply_shear(w.values, half)
-    for step in range(steps):
-        values = _apply_kick(values, kick)
-        values = _apply_shear(values, full if step < steps - 1 else half)
-        drift = float(np.sum(values) * g.dx * g.dp - total0)
-        if abs(drift) > NORM_DRIFT_TOL:
-            raise MonitorError(f"phase-space norm drift {drift:.3e}")
-        _check_boundary(values, (0, 1), boundary_flags)
-    return WignerFunction(g, values, w.t + steps * dt)
-
-
-def _series_coefficients(hbar: float, n_max: int) -> list:
-    # (hbar/2i)^(2n) / (2n+1)! == (-hbar^2/4)^n / (2n+1)!
-    return [(-hbar ** 2 / 4.0) ** n / math.factorial(2 * n + 1)
-            for n in range(1, n_max + 1)]
+    return _phase_space_split(
+        "moyal", w,
+        lambda x, s: potential.value(x + s) - potential.value(x - s),
+        dt, steps, boundary_flags)
 
 
 def propagate_moyal_truncated(w: WignerFunction, potential: Potential,
                               dt: float, steps: int, n_max: int,
                               boundary_flags: list | None = None) -> WignerFunction:
-    """Method-of-lines integration of the truncated evolution series.
+    """The exact route's splitting with the kick kernel cut to its series
 
-    dW/dt = -(p/m) dW/dx + V'(x) dW/dp
-            + sum_{n=1..n_max} (-hbar^2/4)^n/(2n+1)! V^(2n+1)(x) d^(2n+1)W/dp^(2n+1)
+        V(x + x'/2) - V(x - x'/2)
+            ~ sum_{n=0..n_max} 2 V^(2n+1)(x) (x'/2)^(2n+1) / (2n+1)!,
 
-    All derivatives are spectral; time stepping is classical RK4.  Every
-    right-hand-side term is a divergence, so the phase-space integral
-    and the L2 norm are conserved exactly by the continuous system; a
-    relative L2 growth beyond 1e-6 per step flags stiffness.
+    which keeps the first n_max quantum corrections
+    (-hbar^2/4)^n / (2n+1)! V^(2n+1)(x) d^(2n+1)W/dp^(2n+1) of the Moyal
+    equation.  The kick stays unitary, so the step size is limited by
+    splitting error alone.  Terms whose derivative vanishes are skipped:
+    once n_max covers every odd derivative of V the result no longer
+    depends on it.
     """
     _check_steps(dt, steps)
     if n_max < 0:
         raise PropagationError(f"n_max must be >= 0, got {n_max}")
     if steps == 0:
         return w
-    g = w.grid
-    kx = 1j * g.wavenumbers_x()
-    kx[g.n // 2] = 0.0
-    kx = kx[:, None]
-    kp = 1j * g.wavenumbers_p()
-    kp[g.n // 2] = 0.0
-    kp = kp[None, :]
-    p_over_m = (g.p / g.mass)[None, :]
-    force_terms = []  # (x-profile, odd derivative order in p)
-    vprime = potential.derivative(g.x, 1)
-    if np.any(vprime):
-        force_terms.append((vprime[:, None], 1))
-    for n, coeff in enumerate(_series_coefficients(g.hbar, n_max), start=1):
-        prof = potential.derivative(g.x, 2 * n + 1)
-        if np.any(prof):
-            force_terms.append((coeff * prof[:, None], 2 * n + 1))
 
-    def rhs(values):
-        dwdx = np.fft.ifft(kx * np.fft.fft(values, axis=0), axis=0).real
-        out = -p_over_m * dwdx
-        if force_terms:
-            spec_p = np.fft.fft(values, axis=1)
-            for prof, order in force_terms:
-                der = np.fft.ifft(kp ** order * spec_p, axis=1).real
-                out += prof * der
-        return out
+    def series(x, half_sep):
+        kernel = np.zeros((x.size, half_sep.size))
+        # derivatives of order above the degree vanish: stop there
+        for n in range(min(n_max, potential.degree // 2) + 1):
+            order = 2 * n + 1
+            profile = potential.derivative(x, order)
+            if np.any(profile):
+                kernel = kernel + (2.0 / math.factorial(order)
+                                   * profile * half_sep ** order)
+        return kernel
 
-    values = w.values.copy()
-    l2 = float(np.sqrt(np.sum(values ** 2)))
-    for _ in range(steps):
-        k1 = rhs(values)
-        k2 = rhs(values + 0.5 * dt * k1)
-        k3 = rhs(values + 0.5 * dt * k2)
-        k4 = rhs(values + dt * k3)
-        values = values + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        l2_new = float(np.sqrt(np.sum(values ** 2)))
-        if l2_new > l2 * (1.0 + STIFFNESS_TOL):
-            raise MonitorError(
-                f"RK4 stability monitor tripped: L2 growth "
-                f"{l2_new / l2 - 1.0:.3e} in one step")
-        l2 = l2_new
-        _check_boundary(values, (0, 1), boundary_flags)
-    return WignerFunction(g, values, w.t + steps * dt)
+    return _phase_space_split("truncated", w, series, dt, steps,
+                              boundary_flags)
 
 
 def propagate_characteristic(z: CharacteristicZ, potential: Potential,
@@ -257,46 +265,40 @@ def propagate_characteristic(z: CharacteristicZ, potential: Potential,
     """Evolution of Z(y, y') under the two-coordinate Schrodinger analog.
 
     The equation separates: forward split-step evolution in y, the
-    conjugate evolution in y', and the potential phase
-    exp(-i [V(y) - V(y')] dt / hbar).  Hermiticity and the diagonal's
-    integral are monitored each step.
+    conjugate evolution in y' (together one 2-D FFT pair a step), and
+    the potential phase exp(-i [V(y) - V(y')] dt / hbar).  Hermiticity
+    and the diagonal's integral are monitored each step.
     """
     _check_steps(dt, steps)
     if steps == 0:
         return z
     g = z.grid
     herm0 = z.hermiticity_defect()
-    if herm0 > 1e-10:
+    if herm0 > HERMITICITY_TOL:
         raise PropagationError(f"kernel is not Hermitian: defect {herm0:.3e}")
     k = g.wavenumbers_x()
-    kin_half = np.exp(-1j * g.hbar * k ** 2 * dt / (4.0 * g.mass))
     v = potential.value(g.x)
     pot_full = np.exp(-1j * dt / g.hbar * (v[:, None] - v[None, :]))
     diag0 = z.diagonal_total()
 
-    values = z.values.copy()
-    for _ in range(steps):
-        spec = np.fft.fft(values, axis=0)
-        spec *= kin_half[:, None]
-        values = np.fft.ifft(spec, axis=0)
-        spec = np.fft.fft(values, axis=1)
-        spec *= np.conj(kin_half)[None, :]
-        values = np.fft.ifft(spec, axis=1)
-        values *= pot_full
-        spec = np.fft.fft(values, axis=0)
-        spec *= kin_half[:, None]
-        values = np.fft.ifft(spec, axis=0)
-        spec = np.fft.fft(values, axis=1)
-        spec *= np.conj(kin_half)[None, :]
-        values = np.fft.ifft(spec, axis=1)
-        defect = float(np.max(np.abs(values - values.conj().T)))
-        if defect > 1e-10:
-            raise MonitorError(f"Hermiticity defect {defect:.3e} while "
-                               "evolving the characteristic kernel")
-        drift = float(np.sum(values.diagonal().real) * g.dx - diag0)
-        if abs(drift) > NORM_DRIFT_TOL:
-            raise MonitorError(f"diagonal norm drift {drift:.3e}")
-        _check_boundary(values, (0, 1), boundary_flags)
+    def kinetic(tau):
+        kin = np.exp(-1j * g.hbar * k ** 2 * tau / (2.0 * g.mass))
+        return kin[:, None] * np.conj(kin)[None, :]
+
+    def readings(values, spec, kicked):
+        yield ("Hermiticity defect",
+               float(np.max(np.abs(values - values.conj().T))),
+               HERMITICITY_TOL)
+        yield ("diagonal norm drift",
+               abs(float(np.sum(values.diagonal().real) * g.dx - diag0)),
+               NORM_DRIFT_TOL)
+
+    values = _strang(
+        "characteristic", z.values, z.t, dt, steps,
+        forward=np.fft.fft2, inverse=np.fft.ifft2, a_phase=kinetic,
+        kick=lambda values: values * pot_full, readings=readings,
+        boundary=lambda values: boundary_mass(values, (0, 1)),
+        flags=boundary_flags)
     return CharacteristicZ(g, values, z.t + steps * dt)
 
 
@@ -348,6 +350,7 @@ def cross_validate(psi0: Wavefunction, potential: Potential, t_final: float,
     sample_times = sorted(float(t) for t in sample_times)
     if sample_times and (sample_times[0] < 0 or sample_times[-1] > t_final + 1e-12):
         raise PropagationError("sample times must lie inside [0, t_final]")
+    schedule = sample_steps(sample_times, dt)
     report = EvolutionReport()
     check_normalized(psi0)
     g = psi0.grid
@@ -358,11 +361,7 @@ def cross_validate(psi0: Wavefunction, potential: Potential, t_final: float,
     z_c = to_characteristic(w_b)
     t = 0.0
     flags: list = []
-    for target in sample_times:
-        steps = int(round((target - t) / dt))
-        if abs(target - t - steps * dt) > 1e-9 * max(dt, 1.0) or steps < 0:
-            raise PropagationError(
-                f"sample time {target} is not a multiple of dt={dt}")
+    for steps in schedule:
         psi_a = propagate_schrodinger(psi_a, potential, dt, steps, flags)
         w_b = propagate_moyal_exact(w_b, potential, dt, steps, flags)
         z_c = propagate_characteristic(z_c, potential, dt, steps, flags)

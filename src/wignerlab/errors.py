@@ -36,7 +36,22 @@ class PropagationError(WignerlabError):
 
 
 class MonitorError(PropagationError):
-    """A runtime numerical monitor tripped its hard threshold."""
+    """A runtime numerical monitor tripped its hard threshold.
+
+    Names the propagation route, the step (counted from 1) and the time
+    it reached, the monitored quantity, its value and the threshold.
+    """
+
+    def __init__(self, route: str, step: int, t: float, quantity: str,
+                 value: float, threshold: float):
+        super().__init__(route, step, t, quantity, value, threshold)
+        self.route, self.step, self.t = route, step, t
+        self.quantity, self.value, self.threshold = quantity, value, threshold
+
+    def __str__(self) -> str:
+        return (f"{self.route} route, step {self.step} (t = {self.t:.6g}): "
+                f"{self.quantity} {self.value:.3e} exceeds threshold "
+                f"{self.threshold:.3e}")
 
 
 class TomographyError(WignerlabError):

@@ -8,6 +8,7 @@ to a separate timing.json sidecar so the scientific artifacts stay
 byte-reproducible across runs and machines.
 """
 
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import yaml
 from . import io as wio
 from .dynamics import (boundary_mass, cross_validate, propagate_characteristic,
                        propagate_moyal_exact, propagate_moyal_truncated,
-                       propagate_schrodinger)
+                       propagate_schrodinger, sample_steps)
 from .errors import ConfigError
 from .grid import PhaseGrid, make_grid, square_grid
 from .observables import ehrenfest_track, moments, negativity, purity
@@ -187,11 +188,23 @@ def _parse_config(doc: dict, default_name: str) -> ScenarioConfig:
     return config
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """Safe loader that also reads exponent floats lacking a decimal point
+    or an exponent sign (1e-3, 5.0e4), which YAML 1.1 leaves strings."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)"
+               r"[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
 def load_config(path) -> ScenarioConfig:
     """Parse and validate a scenario YAML file."""
     try:
         with open(path) as handle:
-            doc = yaml.safe_load(handle)
+            doc = yaml.load(handle, Loader=_ConfigLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -349,6 +362,10 @@ def _run_evolve(config, grid, psi, potential, artifacts, out):
                           f"(choose from {ROUTES})")
     dt = _number(spec, "dt", "experiment")
     times = _times_from(spec, "experiment")
+    n_max = spec.get("n_max", 1)
+    if not isinstance(n_max, int) or isinstance(n_max, bool):
+        raise ConfigError("experiment.n_max: expected an integer")
+    schedule = sample_steps(times, dt)
     flags: list = []
     state = {"schrodinger": psi,
              "moyal": wigner_transform(psi),
@@ -356,9 +373,7 @@ def _run_evolve(config, grid, psi, potential, artifacts, out):
              "characteristic": to_characteristic(wigner_transform(psi)),
              }[route]
     series = []
-    t = 0.0
-    for target in times:
-        steps = int(round((target - t) / dt))
+    for t, steps in zip(times, schedule):
         if route == "schrodinger":
             state = propagate_schrodinger(state, potential, dt, steps, flags)
             w = wigner_transform(state)
@@ -366,9 +381,6 @@ def _run_evolve(config, grid, psi, potential, artifacts, out):
             state = propagate_moyal_exact(state, potential, dt, steps, flags)
             w = state
         elif route == "truncated":
-            n_max = spec.get("n_max", 1)
-            if not isinstance(n_max, int) or isinstance(n_max, bool):
-                raise ConfigError("experiment.n_max: expected an integer")
             state = propagate_moyal_truncated(state, potential, dt, steps,
                                               n_max, flags)
             w = state
@@ -376,7 +388,6 @@ def _run_evolve(config, grid, psi, potential, artifacts, out):
             state = propagate_characteristic(state, potential, dt, steps,
                                              flags)
             w = None
-        t = target
         if w is not None:
             report = moments(w)
             series.append((t,) + tuple(report.as_dict().values()))

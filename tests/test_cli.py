@@ -1,11 +1,14 @@
 import filecmp
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wignerlab import __version__
+from wignerlab import ConfigError, __version__
 from wignerlab.cli import main
+from wignerlab.scenarios import load_config, run_scenario
 
 QUICK_YAML = """\
 name: quick-cat
@@ -99,3 +102,93 @@ def test_runs_are_byte_deterministic(tmp_path, monkeypatch):
     assert a.keys() == b.keys()
     for name in a:
         assert a[name] == b[name], name
+
+
+EVOLVE_YAML = """\
+name: {name}
+grid:
+  n: 128
+  x_min: -8.0
+  x_max: 8.0
+state:
+  kind: gaussian
+  x0: 0.0
+  p0: {p0}
+  sigma: 1.0
+potential:
+{potential}
+experiment:
+  kind: evolve
+  route: {route}
+  dt: {dt}
+  t_final: {t_final}
+"""
+
+
+def write_evolve(tmp_path, name, route, dt, t_final, p0=2.0,
+                 potential="  kind: free", extra=""):
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(EVOLVE_YAML.format(name=name, route=route, dt=dt,
+                                       t_final=t_final, p0=p0,
+                                       potential=potential) + extra)
+    return path
+
+
+MONITOR_LINE = re.compile(
+    r"numerical monitor failure: (\w+) route, step (\d+) "
+    r"\(t = (\S+)\): (.+) (\S+) exceeds threshold (\S+)$")
+
+
+def monitor_trip(capsys):
+    """(route, step, t, quantity, value, threshold) the CLI printed."""
+    match = MONITOR_LINE.match(capsys.readouterr().err.strip())
+    assert match, "monitor message lacks route, step, t, value or threshold"
+    route, step, t, quantity, value, threshold = match.groups()
+    return route, int(step), float(t), quantity, float(value), float(threshold)
+
+
+def test_schrodinger_boundary_trip_names_step(tmp_path, capsys):
+    config = write_evolve(tmp_path, "edge", "schrodinger", 0.01, 4.0)
+    assert main(["run", str(config), "--output", str(tmp_path / "o")]) == 4
+    route, step, t, quantity, value, threshold = monitor_trip(capsys)
+    assert (route, quantity, threshold) == ("schrodinger", "boundary mass",
+                                            1e-4)
+    assert 1 < step < 400 and t == pytest.approx(0.01 * step, rel=1e-5)
+    assert value > threshold
+
+
+def test_characteristic_hermiticity_trip_names_step(tmp_path, capsys):
+    """A potential that overflows at the grid edge fills the kernel with
+    NaN, which the Hermiticity monitor must not let through."""
+    config = write_evolve(
+        tmp_path, "overflow", "characteristic", 0.01, 1.0,
+        potential="  kind: polynomial\n"
+                  "  coefficients: [0.0, 0.0, 0.0, 0.0, 1.0e+306]")
+    with np.errstate(all="ignore"):
+        code = main(["run", str(config), "--output", str(tmp_path / "o")])
+    assert code == 4
+    route, step, t, quantity, value, threshold = monitor_trip(capsys)
+    assert (route, step, t) == ("characteristic", 1, 0.01)
+    assert (quantity, threshold) == ("Hermiticity defect", 1e-10)
+    assert np.isnan(value)
+
+
+def test_evolve_rejects_unreachable_sample_times(tmp_path, capsys):
+    """With dt = 0.3 the run cannot stop at t = 0.5 or 1.0; it must fail
+    before propagating instead of labelling t = 1.2 as t = 1.0."""
+    config = write_evolve(tmp_path, "drift", "schrodinger", 0.3, 1.0, p0=1.0,
+                          extra="  sample_times: [0.5, 1.0]\n")
+    assert main(["run", str(config), "--output", str(tmp_path / "o")]) == 3
+    assert "not a multiple of dt" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "final.wig1").exists()
+
+
+def test_yaml_exponent_floats(tmp_path):
+    for text, value in (("1e-3", 1e-3), ("5.0e-4", 5e-4)):
+        config = load_config(write_evolve(tmp_path, "exp", "moyal", text, 0.01))
+        assert config.experiment["dt"] == value
+        assert isinstance(config.experiment["dt"], float)
+    quoted = load_config(write_evolve(tmp_path, "quoted", "moyal", "'1e-3'",
+                                      0.01))
+    with pytest.raises(ConfigError, match="expected a number"):
+        run_scenario(quoted, tmp_path / "o")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from wignerlab import (CharacteristicZ, MonitorError, PropagationError,
-                       cat_state, cross_validate, double_well, free_particle,
-                       gaussian_packet, harmonic, make_grid,
+                       WignerFunction, cat_state, cross_validate, double_well,
+                       free_particle, gaussian_packet, harmonic, make_grid,
                        propagate_characteristic, propagate_moyal_exact,
                        propagate_moyal_truncated, propagate_schrodinger,
                        quartic, to_characteristic, wigner_transform)
@@ -114,8 +114,7 @@ def test_truncated_nmax_independent_for_quadratic(grid256):
 
 def test_truncated_terminates_exactly_for_quartic():
     """A quartic potential has no derivatives beyond order 5, so the
-    first correction term already makes the series exact.  A compact
-    grid keeps the explicit RK4 stage inside its stability region."""
+    first correction term already makes the series exact."""
     g = make_grid(128, -8.0, 8.0)
     w = wigner_transform(gaussian_packet(g, 1.0, 0.0, SQRT_HALF))
     V = quartic(0.1)
@@ -135,11 +134,35 @@ def test_truncated_classical_limit_gap():
     assert l2(liouville.values, exact.values, g) > 1e-2
 
 
-def test_truncated_stiffness_monitor():
+def test_truncated_large_step_converges():
+    """The truncated kick is unitary, so a step 10x larger than the
+    reference's costs only splitting error, not stability."""
     g = make_grid(128, -8.0, 8.0)
     w = wigner_transform(gaussian_packet(g, 1.0, 0.0, SQRT_HALF))
-    with pytest.raises(MonitorError):
-        propagate_moyal_truncated(w, quartic(0.1), 0.05, 200, 1)
+    V = quartic(0.1)
+    coarse = propagate_moyal_truncated(w, V, 0.05, 200, 1)
+    fine = propagate_moyal_truncated(w, V, 0.005, 2000, 1)
+    rel = np.sqrt(np.sum((coarse.values - fine.values) ** 2)
+                  / np.sum(fine.values ** 2))
+    assert rel < 1e-2
+
+
+def test_truncated_boundary_monitor_trips():
+    g = make_grid(128, -8.0, 8.0)
+    w = wigner_transform(gaussian_packet(g, 0.0, 2.0, 1.0))
+    with pytest.raises(MonitorError, match="boundary mass") as info:
+        propagate_moyal_truncated(w, free_particle(), 1e-2, 400, 0)
+    assert info.value.route == "truncated"
+    assert info.value.threshold == 1e-4 < info.value.value
+
+
+def test_moyal_rejects_odd_sample_count():
+    g = make_grid(9, -4.0, 4.0)
+    w = WignerFunction(g, np.zeros((9, 9)))
+    for propagate in (propagate_moyal_exact,
+                      lambda *args: propagate_moyal_truncated(*args, 1)):
+        with pytest.raises(PropagationError, match="even sample count"):
+            propagate(w, harmonic(1.0), 1e-3, 1)
 
 
 def test_characteristic_matches_schrodinger_chain(grid256):
