@@ -1,5 +1,5 @@
-"""Internal spectral primitives: centered DFTs, band-limited upsampling,
-exact shear/rotation resamplings of periodic fields.
+"""Internal spectral primitives: centered DFTs, band-limited upsampling
+and the point reflection of periodic fields.
 
 Conventions.  The "centered" transform pair used throughout maps an
 array indexed by j' = j - n/2 to one indexed by l' = l - n/2:
@@ -12,10 +12,7 @@ transform into each other without explicit phase ramps.
 
 import numpy as np
 
-__all__ = [
-    "centered_fft", "centered_ifft", "upsample2",
-    "shear_x", "shear_p", "rotate_field", "reflect_field",
-]
+__all__ = ["centered_fft", "centered_ifft", "upsample2", "reflect_field"]
 
 
 def centered_fft(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -57,66 +54,9 @@ def upsample2(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return 2.0 * np.fft.ifft(padded, axis=axis)
 
 
-def _axis_freqs(n: int, d: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=d)
-
-
-def shear_x(field: np.ndarray, a: float, dx: float, p: np.ndarray) -> np.ndarray:
-    """Exact periodic resampling g(x, p) = f(x + a*p, p).
-
-    field is indexed (x, p); the shift of each p-row is a spectral
-    translation, exact for the periodic band-limited field.
-    """
-    n = field.shape[0]
-    kx = _axis_freqs(n, dx)
-    phase = np.exp(1j * np.outer(kx, a * p))
-    out = np.fft.ifft(phase * np.fft.fft(field, axis=0), axis=0)
-    if np.isrealobj(field):
-        return out.real
-    return out
-
-
-def shear_p(field: np.ndarray, b: float, dp: float, x: np.ndarray) -> np.ndarray:
-    """Exact periodic resampling g(x, p) = f(x, p + b*x)."""
-    n = field.shape[1]
-    kp = _axis_freqs(n, dp)
-    phase = np.exp(1j * np.outer(b * x, kp))
-    out = np.fft.ifft(phase * np.fft.fft(field, axis=1), axis=1)
-    if np.isrealobj(field):
-        return out.real
-    return out
-
-
 def reflect_field(field: np.ndarray) -> np.ndarray:
     """Point reflection (x, p) -> (-x, -p) on centered periodic axes."""
     n0, n1 = field.shape
     i = (-np.arange(n0)) % n0
     j = (-np.arange(n1)) % n1
     return field[np.ix_(i, j)]
-
-
-def rotate_field(field: np.ndarray, theta: float, dx: float, dp: float,
-                 x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Spectral three-shear rotation of a phase-space field.
-
-    Returns g with g(x, p) = f(x cos(t) + p sin(t), -x sin(t) + p cos(t)).
-    Angles are folded into [-pi/2, pi/2] via a point reflection so the
-    shear factors stay bounded (|tan(theta/2)| <= 1). Requires axes
-    centered on zero.
-    """
-    theta = float(theta)
-    # fold to the principal range
-    while theta > np.pi / 2 + 1e-12:
-        field = reflect_field(field)
-        theta -= np.pi
-    while theta < -np.pi / 2 - 1e-12:
-        field = reflect_field(field)
-        theta += np.pi
-    if abs(theta) < 1e-15:
-        return field.copy()
-    a = np.tan(0.5 * theta)
-    s = np.sin(theta)
-    out = shear_x(field, a, dx, p)
-    out = shear_p(out, -s, dp, x)
-    out = shear_x(out, a, dx, p)
-    return out

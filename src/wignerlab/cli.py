@@ -85,7 +85,7 @@ def main(argv=None) -> int:
     # WIGNERLAB_WORKERS is read (and validated) purely for interface
     # compatibility; execution is single-process either way.
     workers = os.environ.get("WIGNERLAB_WORKERS")
-    if workers is not None and not workers.isdigit():
+    if workers is not None and not (workers.isdecimal() and int(workers) > 0):
         print(f"error: WIGNERLAB_WORKERS must be a positive integer, "
               f"got {workers!r}", file=sys.stderr)
         return EXIT_CONFIG

@@ -298,10 +298,11 @@ def list_scenarios() -> list:
 def _times_from(spec, context) -> list:
     times = spec.get("sample_times")
     if times is None:
-        return [float(spec["t_final"])]
+        return [_number(spec, "t_final", context)]
     if not isinstance(times, list) or not times:
         raise ConfigError(f"{context}.sample_times: expected a non-empty list")
-    return [float(t) for t in times]
+    entries = dict(enumerate(times))
+    return [_number(entries, i, f"{context}.sample_times") for i in entries]
 
 
 def _moment_metrics(report) -> dict:
@@ -323,8 +324,8 @@ def _run_wigner(config, grid, psi, potential, artifacts, out):
         wio.write_field(out / "wigner.wig1", w.values, grid, w.t)
         artifacts.append("wigner.wig1")
     if "csv" in config.formats:
-        rows = [(grid.x[i], grid.p[j], w.values[i, j])
-                for i in range(grid.n) for j in range(grid.n)]
+        rows = zip(np.repeat(grid.x, grid.n), np.tile(grid.p, grid.n),
+                   w.values.ravel())
         wio.write_csv(out / "wigner.csv", ("x", "p", "w"), rows)
         artifacts.append("wigner.csv")
     return metrics, monitors
@@ -474,9 +475,9 @@ def _run_tomo(config, grid, psi, potential, artifacts, out):
     monitors = {"norm_drift": w.total() - 1.0,
                 "boundary_mass": boundary_mass(w.values, (0, 1))}
     if "csv" in config.formats:
-        rows = [(theta, tomo.x_axis[m], tomo.values[i, m])
-                for i, theta in enumerate(angles)
-                for m in range(len(tomo.x_axis))]
+        n_x = len(tomo.x_axis)
+        rows = zip(np.repeat(angles, n_x), np.tile(tomo.x_axis, len(angles)),
+                   tomo.values.ravel())
         wio.write_csv(out / "tomogram.csv", ("theta", "X", "w"), rows)
         artifacts.append("tomogram.csv")
     if "binary" in config.formats:

@@ -3,9 +3,23 @@ frames, and filtered back-projection reconstruction.
 
 Frames are pure rotations (mu, nu) = (cos t, sin t) with mu^2 + nu^2 = 1;
 general scaled frames reduce to rotations by rescaling the quadrature
-axis.  Forward projections rotate the field spectrally (three-shear FFT
-rotation, no interpolation); the inverse synthesizes the ramp-filtered
-projections exactly on the target lattice, so round-trip accuracy is
+axis.
+
+Forward projections rotate the field spectrally by three shears and sum
+over p, with no interpolation.  The field is transformed along x once;
+each angle then costs five real FFTs, and the last shear is fused with
+the p-sum.
+
+The inverse is Fourier-slice reconstruction.  Each ramp-filtered
+projection spectrum is a radial line of the 2-D spectrum of W, so the
+lattice sum  sum_k c_k exp(-i k (x mu + p nu))  over all frames is a
+type-1 non-uniform FFT (Greengard & Lee, SIAM Rev. 46:443 (2004)).  The
+samples are spread onto a periodic grid oversampled twice per axis with
+the "exponential of semicircle" kernel exp(beta (sqrt(1 - z^2) - 1))
+(Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 41:C479
+(2019)), transformed, and divided by the kernel's Fourier transform.
+With a 14-point kernel the result agrees with the exact synthesis on
+the lattice to about 1e-13 max-abs, so round-trip accuracy is still
 limited only by the angular and radial discretization.
 
 Both directions require a grid with equal position and momentum extents
@@ -18,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spectral import rotate_field
+from ._spectral import reflect_field
 from .errors import TomographyError
 from .grid import PhaseGrid
 from .wigner import WignerFunction
@@ -27,6 +41,12 @@ __all__ = ["Tomogram", "forward_tomogram", "inverse_tomogram"]
 
 CLIP_FLOOR = -1e-5
 ROLLOFF_START = 0.8  # raised-cosine roll-off begins at this Nyquist fraction
+
+# Gridding of the inverse: fine-grid points covered by the kernel per
+# axis, its shape parameter, and the oversampling of the fine grid.
+SPREAD_WIDTH = 14
+SPREAD_BETA = 2.30 * SPREAD_WIDTH
+OVERSAMPLING = 2
 
 
 @dataclass(frozen=True)
@@ -62,12 +82,37 @@ def _require_square(grid: PhaseGrid) -> None:
             "(dx == dp); build the state on grid.square_grid(...)")
 
 
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) for a real phase, as cos + i sin: the same values as
+    the complex exponential at a third of its cost."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def _cis_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(i u_j v_l) for an arithmetic progression u starting at 0.
+
+    Row j = q b + r is the product of rows q b and r, so only about
+    2 sqrt(len(u)) rows of cos and sin are evaluated.  An entry differs
+    from the direct exponential by the rounding of its phase.
+    """
+    rows = len(u)
+    block = int(np.sqrt(rows)) + 1
+    coarse = _cis(np.outer(u[::block], v))
+    fine = _cis(np.outer(u[:block], v))
+    return (coarse[:, None, :] * fine[None, :, :]).reshape(-1, len(v))[:rows]
+
+
 def forward_tomogram(w: WignerFunction, angles) -> Tomogram:
     """Marginal density of X = x cos(t) + p sin(t) for each angle.
 
-    Each projection is the p-sum of the field rotated by -t; tiny
-    negative excursions (ringing) are clipped to zero and the worst
-    pre-clip value recorded.
+    Each projection is the p-sum of the field rotated by -t, done as
+    shear_x, shear_p, shear_x with |tan(t/2)| <= 1: angles past pi/2
+    rotate the point-reflected field by pi - t instead.  Tiny negative
+    excursions (ringing) are clipped to zero and the worst pre-clip
+    value recorded.
     """
     angles = [float(t) for t in angles]
     if not angles:
@@ -81,11 +126,30 @@ def forward_tomogram(w: WignerFunction, angles) -> Tomogram:
     if abs(total - 1.0) > 1e-6:
         raise TomographyError(f"Wigner field not normalized: {total!r}")
 
+    n, dp = g.n, g.dp
+    x, p = g.x, g.p
+    kx = 2.0 * np.pi * np.fft.rfftfreq(n, d=g.dx)
+    kp = 2.0 * np.pi * np.fft.rfftfreq(n, d=dp)
+    folded = [t > np.pi / 2 + 1e-12 for t in angles]
+    spectra = {False: np.fft.rfft(w.values, axis=0)}
+    if any(folded):
+        spectra[True] = np.fft.rfft(reflect_field(w.values), axis=0)
+
     rows = []
     worst = 0.0
-    for t in angles:
-        rot = rotate_field(w.values, -t, g.dx, g.dp, g.x, g.p)
-        density = rot.sum(axis=1) * g.dp
+    for t, fold in zip(angles, folded):
+        theta = np.pi - t if fold else -t
+        a = np.tan(0.5 * theta)
+        s = np.sin(theta)
+        # g(x, p) = f(x + a p, p) on the half spectrum of x
+        shear = _cis_outer(kx, a * p)
+        field = np.fft.irfft(shear * spectra[fold], n, axis=0)
+        # g(x, p) = f(x, p - s x)
+        field = np.fft.irfft(_cis_outer(kp, -s * x).T
+                             * np.fft.rfft(field, axis=1), n, axis=1)
+        # the last shear_x, fused with the p-sum (both are linear)
+        spec = np.sum(shear * np.fft.rfft(field, axis=0), axis=1)
+        density = np.fft.irfft(spec, n) * dp
         low = float(density.min())
         if low < CLIP_FLOOR:
             raise TomographyError(
@@ -94,8 +158,7 @@ def forward_tomogram(w: WignerFunction, angles) -> Tomogram:
         worst = min(worst, low)
         rows.append(np.clip(density, 0.0, None))
     frames = tuple((float(np.cos(t)), float(np.sin(t))) for t in angles)
-    return Tomogram(frames, g.x.copy(), np.array(rows),
-                    min_before_clip=worst)
+    return Tomogram(frames, x.copy(), np.array(rows), min_before_clip=worst)
 
 
 def _ramp_filter(k: np.ndarray, dk: float, k_nyquist: float) -> np.ndarray:
@@ -117,18 +180,52 @@ def _ramp_filter(k: np.ndarray, dk: float, k_nyquist: float) -> np.ndarray:
     return filt
 
 
+def _kernel(z: np.ndarray) -> np.ndarray:
+    """Exponential of semicircle on z in [-1, 1]."""
+    return np.exp(SPREAD_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0))
+                                 - 1.0))
+
+
+def _spread_axis(u: np.ndarray, m: int):
+    """Fine-grid indices (mod m) and kernel weights of samples at u.
+
+    u is in fine-grid units; each sample covers SPREAD_WIDTH points.
+    """
+    half = 0.5 * SPREAD_WIDTH
+    nodes = np.ceil(u - half)[:, None] + np.arange(SPREAD_WIDTH)
+    return nodes.astype(np.int64) % m, _kernel((nodes - u[:, None]) / half)
+
+
+def _kernel_transform(modes: np.ndarray, m: int) -> np.ndarray:
+    """Fourier transform, in fine-grid units, of the kernel at integer
+    modes of an m-point periodic grid (Gauss-Legendre quadrature)."""
+    half = 0.5 * SPREAD_WIDTH
+    z, weights = np.polynomial.legendre.leggauss(4 * SPREAD_WIDTH + 20)
+    phase = np.outer(modes, z) * (2.0 * np.pi / m * half)
+    return half * (np.cos(phase) @ (weights * _kernel(z)))
+
+
 def inverse_tomogram(tomo: Tomogram, target_grid: PhaseGrid,
                      pad_factor: int = 4) -> WignerFunction:
     """Filtered back-projection of a tomogram onto a phase-space grid.
 
-    Each projection is ramp-filtered in its quadrature frequency and
-    back-projected by direct Fourier synthesis at X = x mu + p nu, which
-    is exact on the lattice (no pixel interpolation).  The ramp filter's
-    slowly decaying spatial tail (~ -1/X^2) aliases on the periodic
-    synthesis window into a flat sheet proportional to 1/pad_factor^2;
-    since admissible states vanish at the grid boundary, that sheet is
-    estimated from the boundary ring and subtracted before the output is
-    normalized to unit integral.
+    Each projection is ramp-filtered in its quadrature frequency; the
+    back-projection  sum_k c_k exp(-i k (x mu + p nu))  is evaluated on
+    the lattice by gridding (a type-1 non-uniform FFT).  Only k >= 0 is
+    spread, with c_k + conj(c_-k), since the output is real; the grid
+    offset of the target is folded into the coefficients.  Each frame is
+    spread onto a 2n x 2n periodic grid with a 14-point exponential of
+    semicircle kernel, the grid is transformed along x and then along p,
+    keeping the n modes needed each time, and the kernel's Fourier
+    transform is divided out.  The result agrees with the exact
+    synthesis on the lattice to about 1e-13 max-abs, at O(n_pad w^2)
+    work a frame plus one O(n^2 log n) transform.
+
+    The ramp filter's slowly decaying spatial tail (~ -1/X^2) aliases on
+    the periodic synthesis window into a flat sheet proportional to
+    1/pad_factor^2; since admissible states vanish at the grid boundary,
+    that sheet is estimated from the boundary ring and subtracted before
+    the output is normalized to unit integral.
     """
     n_frames = len(tomo.frames)
     if n_frames < 2:
@@ -148,22 +245,42 @@ def inverse_tomogram(tomo: Tomogram, target_grid: PhaseGrid,
     filt = _ramp_filter(k, dk, np.pi / d_x)
     dtheta = np.pi / n_frames
 
-    gx = target_grid.x
-    gp = target_grid.p
-    out = np.zeros((target_grid.n, target_grid.n))
+    # hat_w(k_j) = dX * sum_m w_m exp(+i k_j X_m) with k_j monotonic;
+    # the (-1)^m factor recenters the frequency axis
+    signs = np.where(np.arange(n_pad) % 2 == 0, 1.0, -1.0)
+    shift = d_x * np.exp(1j * k * x_axis[0]) * n_pad
+    zero = n_pad // 2
+    k_half = k[zero:]
+
+    # x = a' dx + offset, p = b' dp with integer a', b' centred on zero
+    n = target_grid.n
+    dx, dp = target_grid.dx, target_grid.dp
+    offset = target_grid.x_min + (n // 2) * dx
+    m = OVERSAMPLING * n
+    step = 2.0 * np.pi / m  # fine-grid spacing, in radians per lattice step
+    acc = np.zeros((m, m), dtype=complex)
+    flat = acc.reshape(-1)
+    padded = np.zeros(n_pad)
     for (mu, nu), density in zip(tomo.frames, tomo.values):
-        padded = np.zeros(n_pad)
         padded[:len(x_axis)] = density
-        # hat_w(k_j) = dX * sum_m w_m exp(+i k_j X_m) with k_j monotonic;
-        # the (-1)^m factor recenters the frequency axis
-        signs = np.where(np.arange(n_pad) % 2 == 0, 1.0, -1.0)
-        spec = d_x * np.exp(1j * k * x_axis[0]) \
-            * n_pad * np.fft.ifft(padded * signs)
-        coeff = filt * spec * (dk * dtheta / (4.0 * np.pi ** 2))
-        # synthesize sum_k coeff_k exp(-i k (x mu + p nu)) on the lattice
-        ex = np.exp(-1j * np.outer(gx * mu, k))
-        ep = np.exp(-1j * np.outer(k, gp * nu))
-        out += np.real((ex * coeff[None, :]) @ ep)
+        coeff = filt * (shift * np.fft.ifft(padded * signs)) \
+            * (dk * dtheta / (4.0 * np.pi ** 2))
+        # Re sum_k c_k e^{-ik.} = Re sum_{k>=0} (c_k + conj(c_-k)) e^{-ik.};
+        # the -Nyquist bin, if n_pad is even, has zero filter weight
+        c = coeff[zero:].copy()
+        mirror = np.conj(coeff[zero - 1::-1])[:len(c) - 1]
+        c[1:1 + len(mirror)] += mirror
+        c *= np.exp(-1j * k_half * mu * offset)
+        ix, wx = _spread_axis(k_half * (mu * dx / step), m)
+        ip, wp = _spread_axis(k_half * (nu * dp / step), m)
+        np.add.at(flat, (ix[:, :, None] * m + ip[:, None, :]).ravel(),
+                  ((c[:, None] * wx)[:, :, None] * wp[:, None, :]).ravel())
+
+    modes = np.arange(n) - n // 2
+    keep = modes % m
+    out = np.fft.fft(np.fft.fft(acc, axis=0)[keep], axis=1)[:, keep].real
+    kernel_hat = _kernel_transform(modes, m)
+    out /= np.outer(kernel_hat, kernel_hat)
 
     ring = np.concatenate([out[0, :], out[-1, :], out[1:-1, 0],
                            out[1:-1, -1]])

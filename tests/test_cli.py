@@ -8,6 +8,8 @@ import pytest
 
 from wignerlab import ConfigError, __version__
 from wignerlab.cli import main
+from wignerlab.grid import square_grid
+from wignerlab.io import read_field
 from wignerlab.scenarios import load_config, run_scenario
 
 QUICK_YAML = """\
@@ -85,6 +87,28 @@ def test_invalid_worker_count_rejected(monkeypatch, capsys):
     monkeypatch.setenv("WIGNERLAB_WORKERS", "many")
     assert main(["version"]) == 2
     assert "WIGNERLAB_WORKERS" in capsys.readouterr().err
+
+
+def test_zero_worker_count_rejected(monkeypatch, capsys):
+    monkeypatch.setenv("WIGNERLAB_WORKERS", "0")
+    assert main(["list"]) == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_wigner_csv_matches_axes_and_field(tmp_path):
+    """wigner.csv lists (x, p, w) row-major over the grid, losslessly."""
+    out = tmp_path / "out"
+    run_scenario(load_config(write_quick(tmp_path)), out)
+    values, meta = read_field(out / "wigner.wig1")
+    table = np.loadtxt(out / "wigner.csv", delimiter=",", skiprows=1)
+    n = values.shape[0]
+    grid = square_grid(n)
+    assert meta["x_min"] == grid.x_min and meta["dx"] == grid.dx
+    assert table.shape == (n * n, 3)
+    x, p, w = (table[:, c].reshape(n, n) for c in range(3))
+    assert np.array_equal(x, np.broadcast_to(grid.x[:, None], (n, n)))
+    assert np.array_equal(p, np.broadcast_to(grid.p[None, :], (n, n)))
+    assert np.array_equal(w, values)
 
 
 def artifact_bytes(directory):
@@ -192,3 +216,11 @@ def test_yaml_exponent_floats(tmp_path):
                                       0.01))
     with pytest.raises(ConfigError, match="expected a number"):
         run_scenario(quoted, tmp_path / "o")
+
+
+def test_evolve_rejects_non_numeric_sample_times(tmp_path, capsys):
+    config = write_evolve(tmp_path, "words", "moyal", 0.01, 0.02,
+                          extra="  sample_times: [0.01, soon]\n")
+    assert main(["run", str(config), "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "experiment.sample_times" in err and "'soon'" in err
