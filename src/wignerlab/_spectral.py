@@ -1,5 +1,5 @@
-"""Internal spectral primitives: centered DFTs, band-limited upsampling
-and the point reflection of periodic fields.
+"""Internal spectral primitives: centered DFTs and band-limited
+upsampling.
 
 Conventions.  The "centered" transform pair used throughout maps an
 array indexed by j' = j - n/2 to one indexed by l' = l - n/2:
@@ -12,7 +12,7 @@ transform into each other without explicit phase ramps.
 
 import numpy as np
 
-__all__ = ["centered_fft", "centered_ifft", "upsample2", "reflect_field"]
+__all__ = ["centered_fft", "centered_ifft", "upsample2"]
 
 
 def centered_fft(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -53,10 +53,3 @@ def upsample2(a: np.ndarray, axis: int = -1) -> np.ndarray:
     padded[sl(2 * n - half, 2 * n - half + 1)] = 0.5 * spec[sl(half, half + 1)]
     return 2.0 * np.fft.ifft(padded, axis=axis)
 
-
-def reflect_field(field: np.ndarray) -> np.ndarray:
-    """Point reflection (x, p) -> (-x, -p) on centered periodic axes."""
-    n0, n1 = field.shape
-    i = (-np.arange(n0)) % n0
-    j = (-np.arange(n1)) % n1
-    return field[np.ix_(i, j)]

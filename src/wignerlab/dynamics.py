@@ -193,13 +193,22 @@ def _phase_space_split(route: str, w: WignerFunction, kernel, dt: float,
                abs(float(np.sum(values) * g.dx * g.dp - total0)),
                NORM_DRIFT_TOL)
 
+    # work buffers, overwritten every step
+    kicked = np.empty((g.n, g.n), dtype=complex)
+    spectrum = np.empty((g.n // 2 + 1, g.n), dtype=complex)
+    plane = np.empty((g.n, g.n))
+
+    def kick(v):
+        np.fft.ifft(v, axis=1, out=kicked)
+        # field first: swapped operands round differently
+        np.multiply(kicked, kick_phase, out=kicked)
+        return np.fft.fft(kicked, axis=1, out=kicked)
+
     values = _strang(
         route, w.values, w.t, dt, steps,
-        forward=lambda v: np.fft.rfft(v.real, axis=0),
-        inverse=lambda spec: np.fft.irfft(spec, g.n, axis=0),
-        a_phase=lambda tau: _shear_phase(g, tau),
-        kick=lambda v: np.fft.fft(kick_phase * np.fft.ifft(v, axis=1),
-                                  axis=1),
+        forward=lambda v: np.fft.rfft(v.real, axis=0, out=spectrum),
+        inverse=lambda spec: np.fft.irfft(spec, g.n, axis=0, out=plane),
+        a_phase=lambda tau: _shear_phase(g, tau), kick=kick,
         readings=readings, boundary=lambda v: boundary_mass(v, (0, 1)),
         flags=flags)
     return WignerFunction(g, values, w.t + steps * dt)

@@ -93,12 +93,21 @@ def format_float(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a table with a header row; numeric cells are lossless."""
+    """Write a table with a header row; numeric cells are lossless.
+
+    "%.17g" formats a number as format_float does; a row holding a
+    string cell falls back to formatting cell by cell.
+    """
     lines = [",".join(header)]
+    template = ",".join(["%.17g"] * len(header))
     for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else format_float(cell)
-            for cell in row))
+        row = tuple(row)
+        try:
+            lines.append(template % row)
+        except TypeError:
+            lines.append(",".join(
+                cell if isinstance(cell, str) else format_float(cell)
+                for cell in row))
     with open(path, "w", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -33,8 +33,17 @@ __all__ = ["ScenarioConfig", "load_config", "builtin_config",
            "list_scenarios", "run_scenario", "BUILTIN_SCENARIOS"]
 
 FORMATS = ("json", "csv", "binary")
-EXPERIMENTS = ("wigner", "moments", "evolve", "validate", "tomo", "ehrenfest")
 ROUTES = ("schrodinger", "moyal", "characteristic", "truncated")
+# experiment kind -> (required, optional) keys besides "kind"
+EXPERIMENT_KEYS = {
+    "wigner": ((), ()),
+    "moments": ((), ()),
+    "evolve": (("route", "dt", "t_final"), ("sample_times", "n_max")),
+    "validate": (("dt", "t_final"), ("sample_times",)),
+    "tomo": ((), ("n_angles",)),
+    "ehrenfest": (("dt", "t_grid"), ()),
+}
+EXPERIMENTS = tuple(EXPERIMENT_KEYS)
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,47 @@ def _number(mapping, key, context, default=None) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{context}.{key}: expected a number, got {value!r}")
     return float(value)
+
+
+def _numbers(mapping, key, context) -> list:
+    values = mapping.get(key)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{context}.{key}: expected a non-empty list")
+    entries = dict(enumerate(values))
+    return [_number(entries, i, f"{context}.{key}") for i in entries]
+
+
+def _times_from(spec, context) -> list:
+    if spec.get("sample_times") is None:
+        return [_number(spec, "t_final", context)]
+    return _numbers(spec, "sample_times", context)
+
+
+def _check_experiment(spec) -> None:
+    """Validate an experiment block's keys (see EXPERIMENT_KEYS) and
+    values, so that a bad one fails before any output exists."""
+    if not isinstance(spec, dict) or spec.get("kind") not in EXPERIMENTS:
+        raise ConfigError(f"experiment: expected a mapping with a kind "
+                          f"from {EXPERIMENTS}, got {spec!r}")
+    required, optional = EXPERIMENT_KEYS[spec["kind"]]
+    _require_keys(spec, "experiment", ("kind",) + required, optional)
+    if spec.get("route", ROUTES[0]) not in ROUTES:
+        raise ConfigError(f"experiment.route: unknown route "
+                          f"{spec['route']!r} (choose from {ROUTES})")
+    if not _number(spec, "dt", "experiment", 1.0) > 0:
+        raise ConfigError(f"experiment.dt: expected a positive number, "
+                          f"got {spec['dt']!r}")
+    _number(spec, "t_final", "experiment", 0.0)
+    if spec.get("sample_times") is not None:
+        _numbers(spec, "sample_times", "experiment")
+    if "t_grid" in spec:
+        _numbers(spec, "t_grid", "experiment")
+    for key, minimum in (("n_max", 0), ("n_angles", 2)):
+        value = spec.get(key, minimum)
+        if not isinstance(value, int) or isinstance(value, bool) \
+                or value < minimum:
+            raise ConfigError(f"experiment.{key}: expected an integer >= "
+                              f"{minimum}, got {value!r}")
 
 
 def build_grid(spec: dict) -> PhaseGrid:
@@ -172,11 +222,7 @@ def _parse_config(doc: dict, default_name: str) -> ScenarioConfig:
         raise ConfigError(f"formats: expected a subset of {FORMATS}, "
                           f"got {formats!r}")
     experiment = doc.get("experiment", {"kind": "wigner"})
-    if not isinstance(experiment, dict) or "kind" not in experiment:
-        raise ConfigError("experiment: expected a mapping with a kind")
-    if experiment["kind"] not in EXPERIMENTS:
-        raise ConfigError(f"experiment.kind: unknown kind "
-                          f"{experiment['kind']!r} (choose from {EXPERIMENTS})")
+    _check_experiment(experiment)
     config = ScenarioConfig(
         name=name, grid=dict(doc["grid"]), state=dict(doc["state"]),
         potential=dict(doc.get("potential", {"kind": "free"})),
@@ -295,28 +341,13 @@ def list_scenarios() -> list:
             for name, entry in sorted(BUILTIN_SCENARIOS.items())]
 
 
-def _times_from(spec, context) -> list:
-    times = spec.get("sample_times")
-    if times is None:
-        return [_number(spec, "t_final", context)]
-    if not isinstance(times, list) or not times:
-        raise ConfigError(f"{context}.sample_times: expected a non-empty list")
-    entries = dict(enumerate(times))
-    return [_number(entries, i, f"{context}.sample_times") for i in entries]
-
-
-def _moment_metrics(report) -> dict:
-    return report.as_dict()
-
-
 def _run_wigner(config, grid, psi, potential, artifacts, out):
-    _require_keys(config.experiment, "experiment", required=("kind",))
     w = wigner_transform(psi)
     min_w, neg_volume = negativity(w)
     metrics = {
         "total": w.total(), "purity": purity(w),
         "min_w": min_w, "negative_volume": neg_volume,
-        "moments": _moment_metrics(moments(w)),
+        "moments": moments(w).as_dict(),
     }
     monitors = {"norm_drift": norm(psi) ** 2 - 1.0,
                 "boundary_mass": boundary_mass(w.values, (0, 1))}
@@ -332,13 +363,12 @@ def _run_wigner(config, grid, psi, potential, artifacts, out):
 
 
 def _run_moments(config, grid, psi, potential, artifacts, out):
-    _require_keys(config.experiment, "experiment", required=("kind",))
     operator_route = moments(psi)
     phase_route = moments(wigner_transform(psi))
     gap = max(abs(a - b) for a, b in zip(
         operator_route.as_dict().values(), phase_route.as_dict().values()))
-    metrics = {"operator": _moment_metrics(operator_route),
-               "phase_space": _moment_metrics(phase_route),
+    metrics = {"operator": operator_route.as_dict(),
+               "phase_space": phase_route.as_dict(),
                "route_gap": gap}
     monitors = {"norm_drift": norm(psi) ** 2 - 1.0,
                 "boundary_mass": boundary_mass(
@@ -354,18 +384,11 @@ def _run_moments(config, grid, psi, potential, artifacts, out):
 
 
 def _run_evolve(config, grid, psi, potential, artifacts, out):
-    spec = _require_keys(config.experiment, "experiment",
-                         required=("kind", "route", "dt", "t_final"),
-                         optional=("sample_times", "n_max"))
+    spec = config.experiment
     route = spec["route"]
-    if route not in ROUTES:
-        raise ConfigError(f"experiment.route: unknown route {route!r} "
-                          f"(choose from {ROUTES})")
     dt = _number(spec, "dt", "experiment")
     times = _times_from(spec, "experiment")
     n_max = spec.get("n_max", 1)
-    if not isinstance(n_max, int) or isinstance(n_max, bool):
-        raise ConfigError("experiment.n_max: expected an integer")
     schedule = sample_steps(times, dt)
     flags: list = []
     state = {"schrodinger": psi,
@@ -408,7 +431,7 @@ def _run_evolve(config, grid, psi, potential, artifacts, out):
         monitors = {"norm_drift": drift,
                     "boundary_mass": boundary_mass(final_values, (0, 1))}
         metrics = {"final_time": t,
-                   "final_moments": _moment_metrics(moments(w_final))}
+                   "final_moments": moments(w_final).as_dict()}
     monitors["boundary_flagged"] = bool(flags)
     if "binary" in config.formats:
         wio.write_field(out / "final.wig1", final_values, grid, t)
@@ -422,9 +445,7 @@ def _run_evolve(config, grid, psi, potential, artifacts, out):
 
 
 def _run_validate(config, grid, psi, potential, artifacts, out):
-    spec = _require_keys(config.experiment, "experiment",
-                         required=("kind", "dt", "t_final"),
-                         optional=("sample_times",))
+    spec = config.experiment
     dt = _number(spec, "dt", "experiment")
     t_final = _number(spec, "t_final", "experiment")
     times = _times_from(spec, "experiment")
@@ -456,12 +477,7 @@ def _run_validate(config, grid, psi, potential, artifacts, out):
 
 
 def _run_tomo(config, grid, psi, potential, artifacts, out):
-    spec = _require_keys(config.experiment, "experiment",
-                         required=("kind",), optional=("n_angles",))
-    n_angles = spec.get("n_angles", 180)
-    if not isinstance(n_angles, int) or isinstance(n_angles, bool) \
-            or n_angles < 2:
-        raise ConfigError("experiment.n_angles: expected an integer >= 2")
+    n_angles = config.experiment.get("n_angles", 180)
     angles = [i * np.pi / n_angles for i in range(n_angles)]
     w = wigner_transform(psi)
     tomo = forward_tomogram(w, angles)
@@ -488,13 +504,10 @@ def _run_tomo(config, grid, psi, potential, artifacts, out):
 
 
 def _run_ehrenfest(config, grid, psi, potential, artifacts, out):
-    spec = _require_keys(config.experiment, "experiment",
-                         required=("kind", "dt", "t_grid"), optional=())
-    dt = _number(spec, "dt", "experiment")
-    t_grid = spec["t_grid"]
-    if not isinstance(t_grid, list) or not t_grid:
-        raise ConfigError("experiment.t_grid: expected a non-empty list")
-    table = ehrenfest_track(psi, potential, [float(t) for t in t_grid], dt)
+    spec = config.experiment
+    table = ehrenfest_track(psi, potential,
+                            _numbers(spec, "t_grid", "experiment"),
+                            _number(spec, "dt", "experiment"))
     gap = np.abs(table[:, 3] - table[:, 4])
     classical_gap = np.hypot(table[:, 1] - table[:, 5],
                              table[:, 2] - table[:, 6])

@@ -5,22 +5,16 @@ Frames are pure rotations (mu, nu) = (cos t, sin t) with mu^2 + nu^2 = 1;
 general scaled frames reduce to rotations by rescaling the quadrature
 axis.
 
-Forward projections rotate the field spectrally by three shears and sum
-over p, with no interpolation.  The field is transformed along x once;
-each angle then costs five real FFTs, and the last shear is fused with
-the p-sum.
-
-The inverse is Fourier-slice reconstruction.  Each ramp-filtered
-projection spectrum is a radial line of the 2-D spectrum of W, so the
-lattice sum  sum_k c_k exp(-i k (x mu + p nu))  over all frames is a
-type-1 non-uniform FFT (Greengard & Lee, SIAM Rev. 46:443 (2004)).  The
-samples are spread onto a periodic grid oversampled twice per axis with
-the "exponential of semicircle" kernel exp(beta (sqrt(1 - z^2) - 1))
-(Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 41:C479
-(2019)), transformed, and divided by the kernel's Fourier transform.
-With a 14-point kernel the result agrees with the exact synthesis on
-the lattice to about 1e-13 max-abs, so round-trip accuracy is still
-limited only by the angular and radial discretization.
+By the Fourier-slice theorem the spectrum of the projection at angle t
+is the radial line k (mu, nu) of the 2-D spectrum of W.  The lattice
+sums between the (x, p) grid and these polar frequencies are the type-2
+(forward: gather) and type-1 (inverse: spread) non-uniform FFTs
+(Greengard & Lee, SIAM Rev. 46:443 (2004)) on one kernel, the
+"exponential of semicircle" exp(beta (sqrt(1 - z^2) - 1)) (Barnett,
+Magland & af Klinteberg, SIAM J. Sci. Comput. 41:C479 (2019)), over a
+periodic grid oversampled twice per axis.  With a 14-point kernel both
+agree with the exact lattice sums to about 1e-13 max-abs, so round-trip
+accuracy is limited only by the angular and radial discretization.
 
 Both directions require a grid with equal position and momentum extents
 (see grid.square_grid): rotations mix the axes, and equal extents keep
@@ -32,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spectral import reflect_field
 from .errors import TomographyError
 from .grid import PhaseGrid
 from .wigner import WignerFunction
@@ -42,8 +35,8 @@ __all__ = ["Tomogram", "forward_tomogram", "inverse_tomogram"]
 CLIP_FLOOR = -1e-5
 ROLLOFF_START = 0.8  # raised-cosine roll-off begins at this Nyquist fraction
 
-# Gridding of the inverse: fine-grid points covered by the kernel per
-# axis, its shape parameter, and the oversampling of the fine grid.
+# Gridding in both directions: fine-grid points covered by the kernel
+# per axis, its shape parameter, and the oversampling of the fine grid.
 SPREAD_WIDTH = 14
 SPREAD_BETA = 2.30 * SPREAD_WIDTH
 OVERSAMPLING = 2
@@ -82,104 +75,6 @@ def _require_square(grid: PhaseGrid) -> None:
             "(dx == dp); build the state on grid.square_grid(...)")
 
 
-def _cis(phase: np.ndarray) -> np.ndarray:
-    """exp(i phase) for a real phase, as cos + i sin: the same values as
-    the complex exponential at a third of its cost."""
-    out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    return out
-
-
-def _cis_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """exp(i u_j v_l) for an arithmetic progression u starting at 0.
-
-    Row j = q b + r is the product of rows q b and r, so only about
-    2 sqrt(len(u)) rows of cos and sin are evaluated.  An entry differs
-    from the direct exponential by the rounding of its phase.
-    """
-    rows = len(u)
-    block = int(np.sqrt(rows)) + 1
-    coarse = _cis(np.outer(u[::block], v))
-    fine = _cis(np.outer(u[:block], v))
-    return (coarse[:, None, :] * fine[None, :, :]).reshape(-1, len(v))[:rows]
-
-
-def forward_tomogram(w: WignerFunction, angles) -> Tomogram:
-    """Marginal density of X = x cos(t) + p sin(t) for each angle.
-
-    Each projection is the p-sum of the field rotated by -t, done as
-    shear_x, shear_p, shear_x with |tan(t/2)| <= 1: angles past pi/2
-    rotate the point-reflected field by pi - t instead.  Tiny negative
-    excursions (ringing) are clipped to zero and the worst pre-clip
-    value recorded.
-    """
-    angles = [float(t) for t in angles]
-    if not angles:
-        raise TomographyError("empty angle list")
-    for t in angles:
-        if t < 0.0 or t >= np.pi:
-            raise TomographyError(f"angle {t} outside [0, pi)")
-    g = w.grid
-    _require_square(g)
-    total = w.total()
-    if abs(total - 1.0) > 1e-6:
-        raise TomographyError(f"Wigner field not normalized: {total!r}")
-
-    n, dp = g.n, g.dp
-    x, p = g.x, g.p
-    kx = 2.0 * np.pi * np.fft.rfftfreq(n, d=g.dx)
-    kp = 2.0 * np.pi * np.fft.rfftfreq(n, d=dp)
-    folded = [t > np.pi / 2 + 1e-12 for t in angles]
-    spectra = {False: np.fft.rfft(w.values, axis=0)}
-    if any(folded):
-        spectra[True] = np.fft.rfft(reflect_field(w.values), axis=0)
-
-    rows = []
-    worst = 0.0
-    for t, fold in zip(angles, folded):
-        theta = np.pi - t if fold else -t
-        a = np.tan(0.5 * theta)
-        s = np.sin(theta)
-        # g(x, p) = f(x + a p, p) on the half spectrum of x
-        shear = _cis_outer(kx, a * p)
-        field = np.fft.irfft(shear * spectra[fold], n, axis=0)
-        # g(x, p) = f(x, p - s x)
-        field = np.fft.irfft(_cis_outer(kp, -s * x).T
-                             * np.fft.rfft(field, axis=1), n, axis=1)
-        # the last shear_x, fused with the p-sum (both are linear)
-        spec = np.sum(shear * np.fft.rfft(field, axis=0), axis=1)
-        density = np.fft.irfft(spec, n) * dp
-        low = float(density.min())
-        if low < CLIP_FLOOR:
-            raise TomographyError(
-                f"projection at angle {t:.6f} dips to {low:.3e}, below the "
-                f"admissible ringing floor {CLIP_FLOOR}")
-        worst = min(worst, low)
-        rows.append(np.clip(density, 0.0, None))
-    frames = tuple((float(np.cos(t)), float(np.sin(t))) for t in angles)
-    return Tomogram(frames, x.copy(), np.array(rows), min_before_clip=worst)
-
-
-def _ramp_filter(k: np.ndarray, dk: float, k_nyquist: float) -> np.ndarray:
-    """|k| ramp with a raised-cosine roll-off starting at 80% Nyquist.
-
-    The k = 0 bin carries its exact bin-integrated weight dk/4; leaving
-    it at zero produces the classic cupping artifact (a constant mass
-    deficit spread over the whole plane).
-    """
-    mag = np.abs(k)
-    window = np.ones_like(mag)
-    start = ROLLOFF_START * k_nyquist
-    rolled = mag > start
-    window[rolled] = 0.5 * (1.0 + np.cos(
-        np.pi * (mag[rolled] - start) / ((1.0 - ROLLOFF_START) * k_nyquist)))
-    window[mag > k_nyquist] = 0.0
-    filt = mag * window
-    filt[mag < 0.5 * dk] = dk / 4.0
-    return filt
-
-
 def _kernel(z: np.ndarray) -> np.ndarray:
     """Exponential of semicircle on z in [-1, 1]."""
     return np.exp(SPREAD_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0))
@@ -203,6 +98,90 @@ def _kernel_transform(modes: np.ndarray, m: int) -> np.ndarray:
     z, weights = np.polynomial.legendre.leggauss(4 * SPREAD_WIDTH + 20)
     phase = np.outer(modes, z) * (2.0 * np.pi / m * half)
     return half * (np.cos(phase) @ (weights * _kernel(z)))
+
+
+def _fine_grid(g: PhaseGrid):
+    """Size m of the oversampled periodic grid, its spacing in radians a
+    lattice step, the fine-grid indices of the lattice and the kernel's
+    transform there, and the offset: x = a dx + offset, p = b dp with
+    integer a, b centred on zero."""
+    m = OVERSAMPLING * g.n
+    modes = np.arange(g.n) - g.n // 2
+    return (m, 2.0 * np.pi / m, modes % m, _kernel_transform(modes, m),
+            g.x_min + (g.n // 2) * g.dx)
+
+
+def forward_tomogram(w: WignerFunction, angles) -> Tomogram:
+    """Marginal density of X = x cos(t) + p sin(t) for each angle.
+
+    The spectrum  dx dp sum W exp(-i k (x mu + p nu))  at the real-FFT
+    frequencies k is a type-2 non-uniform FFT: W, divided by the
+    kernel's transform on the centred indices of the 2n x 2n grid, is
+    transformed along x and then along p once, and each angle gathers
+    its n//2 + 1 frequencies with the kernel weights (O(n w^2) work).
+    Tiny negative excursions (ringing) are clipped to zero and the
+    worst pre-clip value recorded.
+    """
+    angles = [float(t) for t in angles]
+    if not angles:
+        raise TomographyError("empty angle list")
+    for t in angles:
+        if t < 0.0 or t >= np.pi:
+            raise TomographyError(f"angle {t} outside [0, pi)")
+    g = w.grid
+    _require_square(g)
+    total = w.total()
+    if abs(total - 1.0) > 1e-6:
+        raise TomographyError(f"Wigner field not normalized: {total!r}")
+
+    n, dx, dp = g.n, g.dx, g.dp
+    m, step, keep, kernel_hat, offset = _fine_grid(g)
+    fine = np.zeros((m, n), dtype=complex)
+    fine[keep] = w.values / np.outer(kernel_hat, kernel_hat)
+    spectrum = np.zeros((m, m), dtype=complex)
+    spectrum[:, keep] = np.fft.fft(fine, axis=0)
+    flat = np.fft.fft(spectrum, axis=1).reshape(-1)
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
+
+    spectra = np.empty((len(angles), len(k)), dtype=complex)
+    for spec, t in zip(spectra, angles):
+        mu, nu = np.cos(t), np.sin(t)
+        ix, wx = _spread_axis(k * (mu * dx / step), m)
+        ip, wp = _spread_axis(k * (nu * dp / step), m)
+        taps = flat[ix[:, :, None] * m + ip[:, None, :]]
+        # the lattice offset along X and the X axis origin in one phase
+        spec[:] = (np.sum((taps @ wp[:, :, None])[:, :, 0] * wx, axis=1)
+                   * np.exp(1j * k * (g.x_min - mu * offset)))
+    density = np.fft.irfft(spectra, n, axis=1) * dp
+    low = density.min(axis=1)
+    worst = int(np.argmin(low))
+    if low[worst] < CLIP_FLOOR:
+        raise TomographyError(
+            f"projection at angle {angles[worst]:.6f} dips to "
+            f"{low[worst]:.3e}, below the admissible ringing floor "
+            f"{CLIP_FLOOR}")
+    frames = tuple((float(np.cos(t)), float(np.sin(t))) for t in angles)
+    return Tomogram(frames, g.x, np.clip(density, 0.0, None),
+                    min_before_clip=min(0.0, float(low[worst])))
+
+
+def _ramp_filter(k: np.ndarray, dk: float, k_nyquist: float) -> np.ndarray:
+    """|k| ramp with a raised-cosine roll-off starting at 80% Nyquist.
+
+    The k = 0 bin carries its exact bin-integrated weight dk/4; leaving
+    it at zero produces the classic cupping artifact (a constant mass
+    deficit spread over the whole plane).
+    """
+    mag = np.abs(k)
+    window = np.ones_like(mag)
+    start = ROLLOFF_START * k_nyquist
+    rolled = mag > start
+    window[rolled] = 0.5 * (1.0 + np.cos(
+        np.pi * (mag[rolled] - start) / ((1.0 - ROLLOFF_START) * k_nyquist)))
+    window[mag > k_nyquist] = 0.0
+    filt = mag * window
+    filt[mag < 0.5 * dk] = dk / 4.0
+    return filt
 
 
 def inverse_tomogram(tomo: Tomogram, target_grid: PhaseGrid,
@@ -252,12 +231,8 @@ def inverse_tomogram(tomo: Tomogram, target_grid: PhaseGrid,
     zero = n_pad // 2
     k_half = k[zero:]
 
-    # x = a' dx + offset, p = b' dp with integer a', b' centred on zero
-    n = target_grid.n
-    dx, dp = target_grid.dx, target_grid.dp
-    offset = target_grid.x_min + (n // 2) * dx
-    m = OVERSAMPLING * n
-    step = 2.0 * np.pi / m  # fine-grid spacing, in radians per lattice step
+    n, dx, dp = target_grid.n, target_grid.dx, target_grid.dp
+    m, step, keep, kernel_hat, offset = _fine_grid(target_grid)
     acc = np.zeros((m, m), dtype=complex)
     flat = acc.reshape(-1)
     padded = np.zeros(n_pad)
@@ -276,10 +251,7 @@ def inverse_tomogram(tomo: Tomogram, target_grid: PhaseGrid,
         np.add.at(flat, (ix[:, :, None] * m + ip[:, None, :]).ravel(),
                   ((c[:, None] * wx)[:, :, None] * wp[:, None, :]).ravel())
 
-    modes = np.arange(n) - n // 2
-    keep = modes % m
     out = np.fft.fft(np.fft.fft(acc, axis=0)[keep], axis=1)[:, keep].real
-    kernel_hat = _kernel_transform(modes, m)
     out /= np.outer(kernel_hat, kernel_hat)
 
     ring = np.concatenate([out[0, :], out[-1, :], out[1:-1, 0],

@@ -212,10 +212,8 @@ def test_yaml_exponent_floats(tmp_path):
         config = load_config(write_evolve(tmp_path, "exp", "moyal", text, 0.01))
         assert config.experiment["dt"] == value
         assert isinstance(config.experiment["dt"], float)
-    quoted = load_config(write_evolve(tmp_path, "quoted", "moyal", "'1e-3'",
-                                      0.01))
     with pytest.raises(ConfigError, match="expected a number"):
-        run_scenario(quoted, tmp_path / "o")
+        load_config(write_evolve(tmp_path, "quoted", "moyal", "'1e-3'", 0.01))
 
 
 def test_evolve_rejects_non_numeric_sample_times(tmp_path, capsys):
@@ -224,3 +222,32 @@ def test_evolve_rejects_non_numeric_sample_times(tmp_path, capsys):
     assert main(["run", str(config), "--output", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "experiment.sample_times" in err and "'soon'" in err
+
+
+@pytest.mark.parametrize("route,dt,t_final,extra,message", [
+    ("bogus", 0.01, 0.02, "", "experiment.route"),
+    ("truncated", 0.01, 0.02, "  n_max: -1\n", "experiment.n_max"),
+    ("truncated", 0.01, 0.02, "  n_max: 1.5\n", "experiment.n_max"),
+    ("moyal", 0.0, 0.02, "", "experiment.dt"),
+    ("moyal", -0.01, 0.02, "", "experiment.dt"),
+    ("moyal", 0.01, "later", "", "experiment.t_final"),
+    ("moyal", 0.01, 0.02, "  sample_times: []\n", "experiment.sample_times"),
+    ("moyal", 0.01, 0.02, "  t_grid: [0.0]\n", "t_grid"),
+])
+def test_bad_experiment_fails_before_output(tmp_path, capsys, route, dt,
+                                            t_final, extra, message):
+    config = write_evolve(tmp_path, "bad", route, dt, t_final, extra=extra)
+    with pytest.raises(ConfigError, match=message):
+        load_config(config)
+    out = tmp_path / "o"
+    assert main(["run", str(config), "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_tomo_angle_count_fails_before_output(tmp_path):
+    path = tmp_path / "tomo.yaml"
+    path.write_text(QUICK_YAML.replace("kind: wigner",
+                                       "kind: tomo\n  n_angles: 1"))
+    with pytest.raises(ConfigError, match="experiment.n_angles"):
+        load_config(path)

@@ -98,6 +98,21 @@ def test_csv_roundtrip(tmp_path):
         assert [float(cell) for cell in line.split(",")] == row
 
 
+def test_csv_numeric_rows_match_per_cell_formatting(tmp_path):
+    """All-numeric rows take one %-format; rows with a string cell are
+    formatted cell by cell.  Both give the same text for each number."""
+    rows = [(-0.0, 1e-300, 1e308), (3, -7, 10 ** 20),
+            (np.float64(0.1), np.float32(0.1), np.int64(-5)),
+            ("label", np.float64(1.0 / 3.0), 2),
+            [np.pi, float("inf"), float("nan")]]
+    path = tmp_path / "table.csv"
+    write_csv(path, ("a", "b", "c"), rows)
+    expected = ["a,b,c"] + [
+        ",".join(cell if isinstance(cell, str) else format_float(cell)
+                 for cell in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 def test_json_is_canonical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     write_json(a, {"z": np.float64(1.5), "a": [np.int64(3), "s"]})

@@ -7,6 +7,7 @@ from wignerlab import (TomographyError, Tomogram, cat_state, forward_tomogram,
                        square_grid, wigner_transform)
 from wignerlab.observables import expectation_operator
 from wignerlab.tomography import _ramp_filter
+from wignerlab.wigner import WignerFunction
 
 from conftest import SQRT_HALF
 
@@ -50,6 +51,100 @@ def dense_inverse(tomo, target_grid, pad_factor=4):
     return out / float(np.sum(out) * target_grid.dx * target_grid.dp)
 
 
+def shear_forward(w, angles):
+    """Projections by spectral rotation: the field rotated by -t as
+    shear_x, shear_p, shear_x (angles past pi/2 rotate the point-reflected
+    field by pi - t, keeping |tan(t/2)| <= 1) and summed over p.  Exact
+    for band-limited fields on an even grid."""
+    g = w.grid
+    n, x, p = g.n, g.x, g.p
+    kx = 2.0 * np.pi * np.fft.rfftfreq(n, d=g.dx)
+    kp = 2.0 * np.pi * np.fft.rfftfreq(n, d=g.dp)
+    flip = (-np.arange(n)) % n
+    rows = []
+    for t in angles:
+        fold = t > np.pi / 2
+        field = w.values[np.ix_(flip, flip)] if fold else w.values
+        theta = np.pi - t if fold else -t
+        shear = np.exp(1j * np.outer(kx, np.tan(0.5 * theta) * p))
+        field = np.fft.irfft(shear * np.fft.rfft(field, axis=0), n, axis=0)
+        field = np.fft.irfft(np.exp(-1j * np.outer(x, np.sin(theta) * kp))
+                             * np.fft.rfft(field, axis=1), n, axis=1)
+        spec = np.sum(shear * np.fft.rfft(field, axis=0), axis=1)
+        rows.append(np.clip(np.fft.irfft(spec, n) * g.dp, 0.0, None))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n,name", [(256, "ground"), (256, "fock3"),
+                                    (256, "cat"), (128, "ground")])
+def test_forward_matches_shear_rotation(n, name):
+    g = square_grid(n)
+    psi = {"ground": lambda: harmonic_eigenstate(g, 0, 1.0),
+           "fock3": lambda: harmonic_eigenstate(g, 3, 1.0),
+           "cat": lambda: cat_state(g, 3.0, SQRT_HALF)}[name]()
+    w = wigner_transform(psi)
+    angles = full_fan()
+    tomo = forward_tomogram(w, angles)
+    assert np.max(np.abs(tomo.values - shear_forward(w, angles))) <= 1e-12
+
+
+def gaussian_wigner(g, x0, p0, sigma):
+    """Closed-form Wigner function of a Gaussian packet on the lattice."""
+    x, p = np.meshgrid(g.x, g.p, indexing="ij")
+    return WignerFunction(g, np.exp(
+        -(x - x0) ** 2 / (2.0 * sigma ** 2)
+        - 2.0 * (sigma * (p - p0) / g.hbar) ** 2) / (np.pi * g.hbar))
+
+
+def assert_gaussian_marginals(tomo, x0, p0, sigma, hbar, bound):
+    """X = mu x + nu p of a Gaussian packet is normal with mean
+    mu x0 + nu p0 and variance mu^2 sigma^2 + nu^2 (hbar / 2 sigma)^2."""
+    X = tomo.x_axis
+    for (mu, nu), density in zip(tomo.frames, tomo.values):
+        var = (mu * sigma) ** 2 + (nu * hbar / (2.0 * sigma)) ** 2
+        expected = (np.exp(-(X - mu * x0 - nu * p0) ** 2 / (2.0 * var))
+                    / np.sqrt(2.0 * np.pi * var))
+        assert np.max(np.abs(density - expected)) <= bound, (x0, mu)
+
+
+@pytest.mark.parametrize("n", [97, 127])
+def test_odd_grid_projections_match_closed_form(n):
+    """On an odd grid the lattice sits half a step off the origin and
+    -p_j is p_(n-1-j), so neither a point reflection by index nor an
+    unshifted Fourier slice is exact there."""
+    g = square_grid(n)
+    tomo = forward_tomogram(gaussian_wigner(g, 1.0, -0.5, 1.0), full_fan(90))
+    assert_gaussian_marginals(tomo, 1.0, -0.5, 1.0, g.hbar, 1e-8)
+
+
+def test_cat_projections_match_closed_form():
+    """The cat's quadrature marginal at angle t is |psi_a + psi_-a|^2 over
+    2 (1 + exp(-x0^2)), with psi_b the X wavefunction of the coherent
+    state b = +/-x0 / sqrt(2) exp(-i t) (hbar = 1, sigma = sqrt(1/2))."""
+    g = square_grid(256)
+    x0 = 3.0
+    tomo = forward_tomogram(wigner_transform(cat_state(g, x0, SQRT_HALF)),
+                            full_fan())
+    X = tomo.x_axis
+    for (mu, nu), density in zip(tomo.frames, tomo.values):
+        amp = sum(np.exp(-(X - np.sqrt(2.0) * b.real) ** 2 / 2.0
+                         + 1j * (np.sqrt(2.0) * b.imag * X - b.real * b.imag))
+                  for b in (s * x0 / np.sqrt(2.0) * (mu - 1j * nu)
+                            for s in (1.0, -1.0)))
+        expected = np.abs(amp) ** 2 / (np.sqrt(np.pi)
+                                       * 2.0 * (1.0 + np.exp(-x0 ** 2)))
+        assert np.max(np.abs(density - expected)) <= 1e-12, (mu, nu)
+
+
+def test_negative_marginal_rejected(sq128):
+    """A unit-mass field with a negative lobe has marginals that dip far
+    below the ringing floor: it is no Wigner function of a state."""
+    lobes = [gaussian_wigner(sq128, x0, 0.0, 1.0).values for x0 in (-2, 2)]
+    w = WignerFunction(sq128, 2.0 * lobes[0] - lobes[1])
+    with pytest.raises(TomographyError, match="dips to"):
+        forward_tomogram(w, [0.3, 1.0])
+
+
 @pytest.fixture(scope="module")
 def oracle_tomograms(sq128):
     """Tomograms of the cat and ground states over 90 angles."""
@@ -81,18 +176,10 @@ def test_gridding_matches_dense_synthesis_on_other_grid(oracle_tomograms, n):
 
 
 def test_projections_match_closed_form_gaussian_marginals(sq128):
-    """X = mu x + nu p of a Gaussian packet is normal with mean
-    mu x0 + nu p0 and variance mu^2 sigma^2 + nu^2 (hbar / 2 sigma)^2."""
-    angles = full_fan(16)
     for x0, p0, sigma in ((1.0, -0.5, 1.0), (-2.0, 1.5, 0.8)):
         w = wigner_transform(gaussian_packet(sq128, x0, p0, sigma))
-        tomo = forward_tomogram(w, angles)
-        X = tomo.x_axis
-        for (mu, nu), density in zip(tomo.frames, tomo.values):
-            var = (mu * sigma) ** 2 + (nu * sq128.hbar / (2.0 * sigma)) ** 2
-            expected = (np.exp(-(X - mu * x0 - nu * p0) ** 2 / (2.0 * var))
-                        / np.sqrt(2.0 * np.pi * var))
-            assert np.max(np.abs(density - expected)) <= 1e-10, (x0, mu)
+        tomo = forward_tomogram(w, full_fan(16))
+        assert_gaussian_marginals(tomo, x0, p0, sigma, sq128.hbar, 1e-10)
 
 
 def test_zero_angle_frame_is_position_marginal(battery_sq128):
