@@ -96,11 +96,9 @@ def main(argv=None) -> int:
             return _command_run(args)
         if args.command == "list":
             return _command_list()
-        if args.command == "version":
-            from . import __version__
-            print(__version__)
-            return EXIT_OK
-        raise ConfigError(f"unknown command {args.command!r}")
+        from . import __version__
+        print(__version__)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,7 +15,7 @@ kernel cut to its Taylor series in x' up to the n_max-th quantum
 correction; n_max = 0 is the classical Liouville equation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 import math
 
 import numpy as np
@@ -50,14 +50,16 @@ def _check_steps(dt: float, steps: int) -> None:
         raise PropagationError(f"negative step count: {steps}")
 
 
-def sample_steps(sample_times, dt: float) -> list:
-    """Step counts that carry a run from t = 0 through each sample time,
+def sample_steps(sample_times, dt: float, t0: float = 0.0) -> list:
+    """Step counts that carry a run from t0 through each sample time,
     each of which must lie a whole number of steps after the previous."""
     _check_steps(dt, 0)
     counts = []
-    t = 0.0
+    t = t0
     for target in sample_times:
-        steps = int(round((target - t) / dt))
+        ratio = (target - t) / dt
+        # an infinite or NaN ratio is no whole number of steps
+        steps = round(ratio) if math.isfinite(ratio) else -1
         if abs(target - t - steps * dt) > 1e-9 * max(dt, 1.0) or steps < 0:
             raise PropagationError(
                 f"sample time {target} is not a multiple of dt={dt}")
@@ -170,6 +172,9 @@ def _shear_phase(g: PhaseGrid, tau: float) -> np.ndarray:
 def _phase_space_split(route: str, w: WignerFunction, kernel, dt: float,
                        steps: int, flags: list | None) -> WignerFunction:
     """Shear-kick-shear evolution; the kick is exp(-i dt kernel / hbar)."""
+    _check_steps(dt, steps)
+    if steps == 0:
+        return w
     g = w.grid
     if g.n % 2:
         raise PropagationError(
@@ -223,9 +228,6 @@ def propagate_moyal_exact(w: WignerFunction, potential: Potential,
     the O(dt^2) splitting error (zero for quadratic V up to the shear/
     kick non-commutativity of the classical flow itself).
     """
-    _check_steps(dt, steps)
-    if steps == 0:
-        return w
     return _phase_space_split(
         "moyal", w,
         lambda x, s: potential.value(x + s) - potential.value(x - s),
@@ -247,11 +249,8 @@ def propagate_moyal_truncated(w: WignerFunction, potential: Potential,
     once n_max covers every odd derivative of V the result no longer
     depends on it.
     """
-    _check_steps(dt, steps)
     if n_max < 0:
         raise PropagationError(f"n_max must be >= 0, got {n_max}")
-    if steps == 0:
-        return w
 
     def series(x, half_sep):
         kernel = np.zeros((x.size, half_sep.size))
@@ -334,15 +333,7 @@ class EvolutionReport:
         return max(values) if values else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "times": list(self.times),
-            "pair_l2": {k: list(v) for k, v in self.pair_l2.items()},
-            "norm_drift": list(self.norm_drift),
-            "energy_drift": list(self.energy_drift),
-            "boundary": list(self.boundary),
-            "factorization_residual": list(self.factorization_residual),
-            "boundary_flagged": self.boundary_flagged,
-        }
+        return asdict(self)
 
 
 def _l2(a: np.ndarray, b: np.ndarray, g: PhaseGrid) -> float:

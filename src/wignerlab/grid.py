@@ -64,10 +64,6 @@ class PhaseGrid:
         """Angular frequencies conjugate to x, in fft order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
-    def wavenumbers_p(self) -> np.ndarray:
-        """Angular frequencies conjugate to p, in fft order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dp)
-
     def is_centered(self, tol: float = 1e-9) -> bool:
         """True when the position axis is symmetric about x = 0."""
         return abs(self.x_min + self.x_max) <= tol * self.dx

@@ -47,14 +47,10 @@ def write_field(path, values: np.ndarray, grid: PhaseGrid,
     header += struct.pack(f"<{values.ndim}Q", *values.shape)
     header += struct.pack("<6d", grid.dx, grid.dp, grid.x_min,
                           grid.hbar, grid.mass, time)
-    if is_complex:
-        payload = np.ascontiguousarray(values, dtype=np.complex128)
-        raw = payload.view(np.float64)
-    else:
-        raw = np.ascontiguousarray(values, dtype=np.float64)
     with open(path, "wb") as handle:
         handle.write(header)
-        handle.write(raw.astype("<f8", copy=False).tobytes())
+        handle.write(values.astype("<c16" if is_complex else "<f8",
+                                   copy=False).tobytes())
 
 
 def read_field(path):
@@ -75,13 +71,10 @@ def read_field(path):
     dx, dp, x_min, hbar, mass, time = struct.unpack_from("<6d", blob, offset)
     offset += 48
     count = int(np.prod(dims))
-    item_size = 16 if flags & FLAG_COMPLEX else 8
-    if len(blob) - offset < count * item_size:
+    dtype = np.dtype("<c16" if flags & FLAG_COMPLEX else "<f8")
+    if len(blob) - offset < count * dtype.itemsize:
         raise ConfigError(f"{path}: truncated payload")
-    if flags & FLAG_COMPLEX:
-        data = np.frombuffer(blob, dtype="<c16", count=count, offset=offset)
-    else:
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+    data = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
     meta = {"dx": dx, "dp": dp, "x_min": x_min, "hbar": hbar,
             "mass": mass, "time": time}
     return data.reshape(dims).copy(), meta

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import StateError
 from .potentials import Potential
 from .states import Wavefunction, check_normalized
-from .wigner import WignerFunction, purity_of
+from .wigner import WignerFunction, purity
 
 __all__ = [
     "MomentReport", "expectation_operator", "expectation_phase_space",
@@ -23,6 +23,9 @@ __all__ = [
 ]
 
 MAX_POLY_DEGREE = 4
+# moment operator -> exponents (i, j) of its Weyl symbol x^i p^j
+WEYL_SYMBOLS = {"x": (1, 0), "p": (0, 1), "x2": (2, 0), "p2": (0, 2),
+                "sym_xp": (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -107,17 +110,11 @@ def moments(state) -> MomentReport:
     (phase-space route); the two agree on transform pairs.
     """
     if isinstance(state, Wavefunction):
-        mx = expectation_operator(state, "x")
-        mp = expectation_operator(state, "p")
-        x2 = expectation_operator(state, "x2")
-        p2 = expectation_operator(state, "p2")
-        xp = expectation_operator(state, "sym_xp")
+        mx, mp, x2, p2, xp = (expectation_operator(state, operator)
+                              for operator in WEYL_SYMBOLS)
     elif isinstance(state, WignerFunction):
-        mx = expectation_phase_space(state, {(1, 0): 1.0})
-        mp = expectation_phase_space(state, {(0, 1): 1.0})
-        x2 = expectation_phase_space(state, {(2, 0): 1.0})
-        p2 = expectation_phase_space(state, {(0, 2): 1.0})
-        xp = expectation_phase_space(state, {(1, 1): 1.0})
+        mx, mp, x2, p2, xp = (expectation_phase_space(state, {powers: 1.0})
+                              for powers in WEYL_SYMBOLS.values())
     else:
         raise StateError(f"moments expects a state, got {type(state)!r}")
     var_x = x2 - mx ** 2
@@ -131,14 +128,6 @@ def moments(state) -> MomentReport:
     )
 
 
-def purity(w: WignerFunction) -> float:
-    """2 pi hbar * integral W^2; 1 for pure states, < 1 for mixtures."""
-    total = w.total()
-    if abs(total - 1.0) > 1e-6:
-        raise StateError(f"Wigner field not normalized: integral = {total!r}")
-    return purity_of(w)
-
-
 def negativity(w: WignerFunction) -> tuple[float, float]:
     """(min over the grid, integral |W| - 1); both zero-ish for
     nonnegative W."""
@@ -148,26 +137,15 @@ def negativity(w: WignerFunction) -> tuple[float, float]:
     return min_value, neg_volume
 
 
-def classical_trajectory(x0: float, p0: float, potential: Potential,
-                         t_grid, dt: float, mass: float = 1.0):
-    """RK4 integration of dx/dt = p/m, dp/dt = -V'(x).
-
-    Returns an array of rows (t, x, p) at the requested times, which
-    must be (near-)multiples of dt.
-    """
-    if dt <= 0:
-        raise StateError(f"dt must be positive, got {dt}")
-    t_grid = [float(t) for t in t_grid]
-
+def _rk4_orbit(x: float, p: float, potential: Potential, dt: float,
+               schedule, mass: float, t: float) -> list:
+    """Rows (t, x, p) after each leg of a schedule of step counts that
+    starts at t: RK4 for dx/dt = p/m, dp/dt = -V'(x)."""
     def rhs(x, p):
         return p / mass, -potential.derivative(x, 1)
 
     rows = []
-    x, p, t = float(x0), float(p0), 0.0
-    for target in t_grid:
-        steps = int(round((target - t) / dt))
-        if abs(target - t - steps * dt) > 1e-9 * max(dt, 1.0) or steps < 0:
-            raise StateError(f"time {target} is not a multiple of dt={dt}")
+    for steps in schedule:
         for _ in range(steps):
             k1x, k1p = rhs(x, p)
             k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
@@ -177,41 +155,51 @@ def classical_trajectory(x0: float, p0: float, potential: Potential,
             p += dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
         t += steps * dt
         rows.append((t, x, p))
-    return np.array(rows)
+    return rows
+
+
+def classical_trajectory(x0: float, p0: float, potential: Potential,
+                         t_grid, dt: float, mass: float = 1.0):
+    """RK4 integration of dx/dt = p/m, dp/dt = -V'(x) from t = 0.
+
+    Returns an array of rows (t, x, p) at the requested times, which
+    must be (near-)multiples of dt.
+    """
+    from .dynamics import sample_steps  # local import: cycle break
+
+    if dt <= 0:
+        raise StateError(f"dt must be positive, got {dt}")
+    schedule = sample_steps([float(t) for t in t_grid], dt)
+    return np.array(_rk4_orbit(float(x0), float(p0), potential, dt,
+                               schedule, mass, 0.0))
 
 
 def ehrenfest_track(psi0: Wavefunction, potential: Potential, t_grid,
                     dt: float):
     """Quantum means along a Schrodinger evolution next to the classical
-    trajectory launched from (<x>0, <p>0).
+    trajectory launched from (<x>, <p>) at psi0.t.
 
     Returns rows (t, <x>, <p>, <F(x)>, F(<x>), classical_x, classical_p).
     The gap between <F(x)> and F(<x>) exposes how far the packet is from
     the single-orbit picture; it vanishes identically for quadratic V.
     """
-    from .dynamics import propagate_schrodinger  # local import: cycle break
+    from .dynamics import propagate_schrodinger, sample_steps  # cycle break
 
     g = psi0.grid
     t_grid = [float(t) for t in t_grid]
-    mx0 = expectation_operator(psi0, "x")
-    mp0 = expectation_operator(psi0, "p")
-    classical = classical_trajectory(mx0, mp0, potential, t_grid, dt,
-                                     mass=g.mass)
+    schedule = sample_steps(t_grid, dt, psi0.t)
+    orbit = _rk4_orbit(expectation_operator(psi0, "x"),
+                       expectation_operator(psi0, "p"), potential, dt,
+                       schedule, g.mass, psi0.t)
     rows = []
     psi = psi0
-    t = psi0.t
-    for i, target in enumerate(t_grid):
-        steps = int(round((target - t) / dt))
-        if abs(target - t - steps * dt) > 1e-9 * max(dt, 1.0) or steps < 0:
-            raise StateError(f"time {target} is not a multiple of dt={dt}")
-        if steps:
-            psi = propagate_schrodinger(psi, potential, dt, steps)
-            t = psi.t
+    for target, steps, (_, x_cl, p_cl) in zip(t_grid, schedule, orbit):
+        psi = propagate_schrodinger(psi, potential, dt, steps)
         density = np.abs(psi.samples) ** 2
         mean_x = float(np.sum(g.x * density) * g.dx)
         mean_p = expectation_operator(psi, "p")
         mean_force = float(np.sum(potential.force(g.x) * density) * g.dx)
         force_at_mean = float(potential.force(mean_x))
         rows.append((target, mean_x, mean_p, mean_force, force_at_mean,
-                     classical[i, 1], classical[i, 2]))
+                     x_cl, p_cl))
     return np.array(rows)

@@ -1,16 +1,21 @@
 """Declarative scenario configs and the runner behind the command line.
 
 A scenario is one YAML document: grid + state + potential + experiment +
-output options.  Unknown keys are rejected so typos fail loudly instead
-of silently running a default.  Every run writes a manifest.json whose
+output options.  One table, SCHEMA, gives every section's kinds with
+their builder (or runner), required keys and optional keys with
+defaults.  Keys outside it are rejected so typos fail loudly instead of
+silently running a default.  Every run writes a manifest.json whose
 bytes depend only on (config, package version); wall-clock timing goes
 to a separate timing.json sidecar so the scientific artifacts stay
-byte-reproducible across runs and machines.
+byte-reproducible across runs on one numpy build and CPU.
 """
 
+import copy
 import re
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -20,217 +25,155 @@ from .dynamics import (boundary_mass, cross_validate, propagate_characteristic,
                        propagate_moyal_exact, propagate_moyal_truncated,
                        propagate_schrodinger, sample_steps)
 from .errors import ConfigError
-from .grid import PhaseGrid, make_grid, square_grid
+from .grid import make_grid, square_grid
 from .observables import ehrenfest_track, moments, negativity, purity
-from .potentials import (Potential, double_well, free_particle, harmonic,
-                         polynomial, quartic)
-from .states import (Wavefunction, cat_state, gaussian_packet,
-                     harmonic_eigenstate, norm, superpose, two_slit_state)
+from .potentials import (double_well, free_particle, harmonic, polynomial,
+                         quartic)
+from .states import (cat_state, gaussian_packet, harmonic_eigenstate, norm,
+                     superpose, two_slit_state)
 from .tomography import forward_tomogram, inverse_tomogram
 from .wigner import to_characteristic, wigner_transform
 
 __all__ = ["ScenarioConfig", "load_config", "builtin_config",
-           "list_scenarios", "run_scenario", "BUILTIN_SCENARIOS"]
+           "list_scenarios", "run_scenario", "BUILTIN_SCENARIOS", "SCHEMA"]
 
 FORMATS = ("json", "csv", "binary")
-ROUTES = ("schrodinger", "moyal", "characteristic", "truncated")
-# experiment kind -> (required, optional) keys besides "kind"
-EXPERIMENT_KEYS = {
-    "wigner": ((), ()),
-    "moments": ((), ()),
-    "evolve": (("route", "dt", "t_final"), ("sample_times", "n_max")),
-    "validate": (("dt", "t_final"), ("sample_times",)),
-    "tomo": ((), ("n_angles",)),
-    "ehrenfest": (("dt", "t_grid"), ()),
-}
-EXPERIMENTS = tuple(EXPERIMENT_KEYS)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description (see load_config for the schema)."""
+    """A scenario's sections exactly as given (see SCHEMA for the keys)."""
 
     name: str
     grid: dict
     state: dict
-    potential: dict = field(default_factory=lambda: {"kind": "free"})
-    experiment: dict = field(default_factory=lambda: {"kind": "wigner"})
-    formats: tuple = FORMATS
+    potential: dict
+    experiment: dict
+    formats: tuple
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "grid": dict(self.grid),
-                "state": dict(self.state), "potential": dict(self.potential),
-                "experiment": dict(self.experiment),
-                "formats": list(self.formats)}
+        return asdict(self)
 
 
-def _require_keys(mapping, context: str, required=(), optional=()) -> dict:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{context}: expected a mapping, got {mapping!r}")
-    allowed = set(required) | set(optional)
-    unknown = sorted(set(mapping) - allowed)
+# Value checks: each takes (value, context) and returns the value to use.
+
+def _expect(what: str, test):
+    """The check that passes the values test accepts."""
+    def check(value, context):
+        if not test(value):
+            raise ConfigError(f"{context}: expected {what}, got {value!r}")
+        return value
+    return check
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# finite: NaN fails the comparison, and so do ints beyond float range
+_finite = _expect("a number", lambda value: (
+    isinstance(value, (int, float)) and not isinstance(value, bool)
+    and abs(value) <= sys.float_info.max))
+
+
+def _number(value, context) -> float:
+    return float(_finite(value, context))
+
+
+_positive = _expect("a positive number", lambda value: value > 0)
+
+
+def _list_of(item):
+    """The check of a non-empty list whose entries pass item."""
+    def check(value, context):
+        _expect("a non-empty list",
+                lambda v: isinstance(v, list) and v)(value, context)
+        return [item(v, f"{context}.{i}") for i, v in enumerate(value)]
+    return check
+
+
+def _amplitude(value, context) -> complex:
+    """A superposition coefficient: a number or a [real, imaginary] pair."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(*_list_of(_number)(value, context))
+    return complex(_number(value, context))
+
+
+def _section(section: str, spec, context=None):
+    """Check one config section against SCHEMA.
+
+    Returns (builder, values): the kind's builder or runner and its
+    keyword arguments, with defaults filled in and every value checked
+    (see TYPES; any other key is a finite number, converted to float).
+    """
+    context = context or section
+    _expect("a mapping", lambda value: isinstance(value, dict))(spec, context)
+    kinds = SCHEMA[section]
+    kind = None if None in kinds else spec.get("kind")
+    if not isinstance(kind, (str, type(None))) or kind not in kinds:
+        raise ConfigError(f"{context}.kind: expected one of {sorted(kinds)}, "
+                          f"got {kind!r}")
+    builder, required, optional = kinds[kind]
+    allowed = {*required, *optional} | ({"kind"} if kind else set())
+    unknown = sorted(map(str, spec.keys() - allowed))
     if unknown:
         raise ConfigError(f"{context}: unknown keys {unknown} "
                           f"(allowed: {sorted(allowed)})")
-    missing = sorted(set(required) - set(mapping))
+    missing = sorted(set(required) - spec.keys())
     if missing:
         raise ConfigError(f"{context}: missing keys {missing}")
-    return mapping
+    values = copy.deepcopy(optional)
+    for key, value in spec.items():
+        if key != "kind":
+            check = TYPES.get(f"{section}.{key}", _number)
+            values[key] = check(value, f"{context}.{key}")
+    return builder, values
 
 
-def _number(mapping, key, context, default=None) -> float:
-    value = mapping.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{context}.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _numbers(mapping, key, context) -> list:
-    values = mapping.get(key)
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{context}.{key}: expected a non-empty list")
-    entries = dict(enumerate(values))
-    return [_number(entries, i, f"{context}.{key}") for i in entries]
-
-
-def _times_from(spec, context) -> list:
-    if spec.get("sample_times") is None:
-        return [_number(spec, "t_final", context)]
-    return _numbers(spec, "sample_times", context)
-
-
-def _check_experiment(spec) -> None:
-    """Validate an experiment block's keys (see EXPERIMENT_KEYS) and
-    values, so that a bad one fails before any output exists."""
-    if not isinstance(spec, dict) or spec.get("kind") not in EXPERIMENTS:
-        raise ConfigError(f"experiment: expected a mapping with a kind "
-                          f"from {EXPERIMENTS}, got {spec!r}")
-    required, optional = EXPERIMENT_KEYS[spec["kind"]]
-    _require_keys(spec, "experiment", ("kind",) + required, optional)
-    if spec.get("route", ROUTES[0]) not in ROUTES:
-        raise ConfigError(f"experiment.route: unknown route "
-                          f"{spec['route']!r} (choose from {ROUTES})")
-    if not _number(spec, "dt", "experiment", 1.0) > 0:
-        raise ConfigError(f"experiment.dt: expected a positive number, "
-                          f"got {spec['dt']!r}")
-    _number(spec, "t_final", "experiment", 0.0)
-    if spec.get("sample_times") is not None:
-        _numbers(spec, "sample_times", "experiment")
-    if "t_grid" in spec:
-        _numbers(spec, "t_grid", "experiment")
-    for key, minimum in (("n_max", 0), ("n_angles", 2)):
-        value = spec.get(key, minimum)
-        if not isinstance(value, int) or isinstance(value, bool) \
-                or value < minimum:
-            raise ConfigError(f"experiment.{key}: expected an integer >= "
-                              f"{minimum}, got {value!r}")
-
-
-def build_grid(spec: dict) -> PhaseGrid:
-    _require_keys(spec, "grid", required=("n",),
-                  optional=("x_min", "x_max", "square", "hbar", "mass"))
-    n = spec["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ConfigError(f"grid.n: expected an integer, got {n!r}")
-    hbar = _number(spec, "hbar", "grid", 1.0)
-    mass = _number(spec, "mass", "grid", 1.0)
-    if spec.get("square", False):
-        if "x_min" in spec or "x_max" in spec:
+def _grid(n, x_min, x_max, square, hbar, mass):
+    if square:
+        if x_min is not None or x_max is not None:
             raise ConfigError("grid: square grids fix their own extent; "
                               "do not also give x_min/x_max")
         return square_grid(n, hbar=hbar, mass=mass)
-    if "x_min" not in spec or "x_max" not in spec:
+    if x_min is None or x_max is None:
         raise ConfigError("grid: give x_min and x_max, or square: true")
-    return make_grid(n, _number(spec, "x_min", "grid"),
-                     _number(spec, "x_max", "grid"), hbar=hbar, mass=mass)
+    return make_grid(n, x_min, x_max, hbar=hbar, mass=mass)
 
 
-def build_state(grid: PhaseGrid, spec: dict) -> Wavefunction:
-    _require_keys(spec, "state", required=("kind",),
-                  optional=("x0", "p0", "sigma", "level", "omega",
-                            "separation", "slit_width", "components",
-                            "coefficients"))
-    kind = spec["kind"]
-    if kind == "gaussian":
-        return gaussian_packet(grid, _number(spec, "x0", "state", 0.0),
-                               _number(spec, "p0", "state", 0.0),
-                               _number(spec, "sigma", "state", 1.0))
-    if kind == "harmonic":
-        level = spec.get("level", 0)
-        if not isinstance(level, int) or isinstance(level, bool):
-            raise ConfigError(f"state.level: expected an integer, got {level!r}")
-        return harmonic_eigenstate(grid, level,
-                                   _number(spec, "omega", "state", 1.0))
-    if kind == "cat":
-        return cat_state(grid, _number(spec, "x0", "state"),
-                         _number(spec, "sigma", "state"),
-                         _number(spec, "p0", "state", 0.0))
-    if kind == "two_slit":
-        return two_slit_state(grid, _number(spec, "separation", "state"),
-                              _number(spec, "slit_width", "state"))
-    if kind == "superposition":
-        parts = spec.get("components")
-        coeffs = spec.get("coefficients")
-        if not isinstance(parts, list) or not isinstance(coeffs, list):
-            raise ConfigError("state: superposition needs components "
-                              "and coefficients lists")
-        states = [build_state(grid, part) for part in parts]
-        def as_complex(c):
-            if isinstance(c, (int, float)) and not isinstance(c, bool):
-                return complex(c)
-            if isinstance(c, list) and len(c) == 2:
-                return complex(float(c[0]), float(c[1]))
-            raise ConfigError(f"state.coefficients: bad entry {c!r}")
-        state, _ = superpose(states, [as_complex(c) for c in coeffs])
-        return state
-    raise ConfigError(f"state.kind: unknown kind {kind!r}")
+def _superposition(grid, components, coefficients):
+    state, _ = superpose(
+        [build(grid, **values) for build, values in components], coefficients)
+    return state
 
 
-def build_potential(spec: dict) -> Potential:
-    _require_keys(spec, "potential", required=("kind",),
-                  optional=("omega", "mass", "lam", "a", "b", "coefficients"))
-    kind = spec["kind"]
-    if kind == "free":
-        return free_particle()
-    if kind == "harmonic":
-        return harmonic(_number(spec, "omega", "potential", 1.0),
-                        mass=_number(spec, "mass", "potential", 1.0))
-    if kind == "quartic":
-        return quartic(_number(spec, "lam", "potential"))
-    if kind == "double_well":
-        return double_well(_number(spec, "a", "potential"),
-                           _number(spec, "b", "potential"))
-    if kind == "polynomial":
-        coeffs = spec.get("coefficients")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError("potential: polynomial needs a non-empty "
-                              "coefficients list")
-        return polynomial([_number({"c": c}, "c", "potential.coefficients")
-                           for c in coeffs])
-    raise ConfigError(f"potential.kind: unknown kind {kind!r}")
+def _build(config: ScenarioConfig) -> list:
+    """[grid, initial state, potential] of a scenario."""
+    built = []
+    for section in ("grid", "state", "potential"):
+        build, values = _section(section, getattr(config, section))
+        try:
+            # the state and the potential are built on the grid
+            built.append(build(*built[:1], **values))
+        except (ValueError, ArithmeticError) as exc:
+            # the constructors' own parameter checks (harmonic,
+            # double_well), or a value too large to square
+            raise ConfigError(f"{section}: {exc}") from exc
+    return built
 
 
 def _parse_config(doc: dict, default_name: str) -> ScenarioConfig:
-    _require_keys(doc, "scenario", required=("grid", "state"),
-                  optional=("name", "potential", "experiment", "formats"))
-    name = doc.get("name", default_name)
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"name: expected a non-empty string, got {name!r}")
-    formats = doc.get("formats", list(FORMATS))
-    if (not isinstance(formats, list) or not formats
-            or any(f not in FORMATS for f in formats)):
-        raise ConfigError(f"formats: expected a subset of {FORMATS}, "
-                          f"got {formats!r}")
-    experiment = doc.get("experiment", {"kind": "wigner"})
-    _check_experiment(experiment)
-    config = ScenarioConfig(
-        name=name, grid=dict(doc["grid"]), state=dict(doc["state"]),
-        potential=dict(doc.get("potential", {"kind": "free"})),
-        experiment=dict(experiment), formats=tuple(formats))
-    # validate everything eagerly so bad configs fail before any output
-    grid = build_grid(config.grid)
-    build_state(grid, config.state)
-    build_potential(config.potential)
+    build, values = _section("scenario", {"name": default_name, **doc})
+    config = build(**values)
+    # check and build everything now, so a bad config fails before any
+    # output exists
+    _, spec = _section("experiment", config.experiment)
+    if "dt" in spec:
+        times = (spec.get("t_grid") or spec.get("sample_times")
+                 or [spec["t_final"]])
+        sample_steps(sorted(times) if config.experiment["kind"] == "validate"
+                     else times, spec["dt"])
+    _build(config)
     return config
 
 
@@ -253,13 +196,13 @@ def load_config(path) -> ScenarioConfig:
             doc = yaml.load(handle, Loader=_ConfigLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    # besides YAMLError, PyYAML's constructors raise ValueError, IndexError,
+    # KeyError or AttributeError on a bad tagged scalar (!!int x, !!float)
+    except Exception as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    import os
-    stem = os.path.splitext(os.path.basename(str(path)))[0]
-    return _parse_config(doc, stem)
+    return _parse_config(doc, Path(path).stem)
 
 
 BUILTIN_SCENARIOS = {
@@ -326,13 +269,14 @@ BUILTIN_SCENARIOS = {
 }
 
 
+
+
 def builtin_config(name: str) -> ScenarioConfig:
     if name not in BUILTIN_SCENARIOS:
         raise ConfigError(f"unknown built-in scenario {name!r}; "
                           f"choose from {sorted(BUILTIN_SCENARIOS)}")
-    doc = {k: v for k, v in BUILTIN_SCENARIOS[name].items()
-           if k != "description"}
-    return _parse_config(dict(doc, name=name), name)
+    return _parse_config({k: v for k, v in BUILTIN_SCENARIOS[name].items()
+                          if k != "description"}, name)
 
 
 def list_scenarios() -> list:
@@ -341,7 +285,15 @@ def list_scenarios() -> list:
             for name, entry in sorted(BUILTIN_SCENARIOS.items())]
 
 
-def _run_wigner(config, grid, psi, potential, artifacts, out):
+# Runners: runner(grid, psi, potential, save, **values) -> (metrics,
+# monitors), where save(format, name, writer, *args) writes an artifact
+# if the scenario asks for that format.
+
+def _monitors(drift, values, axes=(0, 1)) -> dict:
+    return {"norm_drift": drift, "boundary_mass": boundary_mass(values, axes)}
+
+
+def _run_wigner(grid, psi, potential, save):
     w = wigner_transform(psi)
     min_w, neg_volume = negativity(w)
     metrics = {
@@ -349,107 +301,78 @@ def _run_wigner(config, grid, psi, potential, artifacts, out):
         "min_w": min_w, "negative_volume": neg_volume,
         "moments": moments(w).as_dict(),
     }
-    monitors = {"norm_drift": norm(psi) ** 2 - 1.0,
-                "boundary_mass": boundary_mass(w.values, (0, 1))}
-    if "binary" in config.formats:
-        wio.write_field(out / "wigner.wig1", w.values, grid, w.t)
-        artifacts.append("wigner.wig1")
-    if "csv" in config.formats:
-        rows = zip(np.repeat(grid.x, grid.n), np.tile(grid.p, grid.n),
-                   w.values.ravel())
-        wio.write_csv(out / "wigner.csv", ("x", "p", "w"), rows)
-        artifacts.append("wigner.csv")
-    return metrics, monitors
+    save("binary", "wigner.wig1", wio.write_field, w.values, grid, w.t)
+    save("csv", "wigner.csv", wio.write_csv, ("x", "p", "w"),
+         zip(np.repeat(grid.x, grid.n), np.tile(grid.p, grid.n),
+             w.values.ravel()))
+    return metrics, _monitors(norm(psi) ** 2 - 1.0, w.values)
 
 
-def _run_moments(config, grid, psi, potential, artifacts, out):
-    operator_route = moments(psi)
-    phase_route = moments(wigner_transform(psi))
-    gap = max(abs(a - b) for a, b in zip(
-        operator_route.as_dict().values(), phase_route.as_dict().values()))
-    metrics = {"operator": operator_route.as_dict(),
-               "phase_space": phase_route.as_dict(),
+def _run_moments(grid, psi, potential, save):
+    operator_route = moments(psi).as_dict()
+    phase_route = moments(wigner_transform(psi)).as_dict()
+    gap = max(abs(a - b) for a, b in zip(operator_route.values(),
+                                         phase_route.values()))
+    metrics = {"operator": operator_route, "phase_space": phase_route,
                "route_gap": gap}
-    monitors = {"norm_drift": norm(psi) ** 2 - 1.0,
-                "boundary_mass": boundary_mass(
-                    np.abs(psi.samples) ** 2, (0,))}
-    if "csv" in config.formats:
-        rows = [(key, operator_route.as_dict()[key],
-                 phase_route.as_dict()[key])
-                for key in operator_route.as_dict()]
-        wio.write_csv(out / "moments.csv",
-                      ("moment", "operator_route", "phase_space_route"), rows)
-        artifacts.append("moments.csv")
-    return metrics, monitors
+    save("csv", "moments.csv", wio.write_csv,
+         ("moment", "operator_route", "phase_space_route"),
+         [(key, operator_route[key], phase_route[key])
+          for key in operator_route])
+    return metrics, _monitors(norm(psi) ** 2 - 1.0,
+                              np.abs(psi.samples) ** 2, (0,))
 
 
-def _run_evolve(config, grid, psi, potential, artifacts, out):
-    spec = config.experiment
-    route = spec["route"]
-    dt = _number(spec, "dt", "experiment")
-    times = _times_from(spec, "experiment")
-    n_max = spec.get("n_max", 1)
-    schedule = sample_steps(times, dt)
+# route -> (initial state from psi, propagator); the lambdas look the
+# propagators up by name when called, so a wrapper installed on this
+# module (the benchmark's tracer) sees every call
+ROUTES = {
+    "schrodinger": (lambda psi: psi,
+                    lambda *args, n_max: propagate_schrodinger(*args)),
+    "moyal": (lambda psi: wigner_transform(psi),
+              lambda *args, n_max: propagate_moyal_exact(*args)),
+    "characteristic": (lambda psi: to_characteristic(wigner_transform(psi)),
+                       lambda *args, n_max: propagate_characteristic(*args)),
+    "truncated": (lambda psi: wigner_transform(psi),
+                  lambda w, v, dt, steps, flags, n_max:
+                  propagate_moyal_truncated(w, v, dt, steps, n_max, flags)),
+}
+
+
+def _run_evolve(grid, psi, potential, save, route, dt, t_final,
+                sample_times, n_max):
+    initial, propagate = ROUTES[route]
+    state = initial(psi)
+    times = sample_times or [t_final]
     flags: list = []
-    state = {"schrodinger": psi,
-             "moyal": wigner_transform(psi),
-             "truncated": wigner_transform(psi),
-             "characteristic": to_characteristic(wigner_transform(psi)),
-             }[route]
     series = []
-    for t, steps in zip(times, schedule):
-        if route == "schrodinger":
-            state = propagate_schrodinger(state, potential, dt, steps, flags)
-            w = wigner_transform(state)
-        elif route == "moyal":
-            state = propagate_moyal_exact(state, potential, dt, steps, flags)
-            w = state
-        elif route == "truncated":
-            state = propagate_moyal_truncated(state, potential, dt, steps,
-                                              n_max, flags)
-            w = state
-        else:
-            state = propagate_characteristic(state, potential, dt, steps,
-                                             flags)
-            w = None
-        if w is not None:
-            report = moments(w)
-            series.append((t,) + tuple(report.as_dict().values()))
+    for t, steps in zip(times, sample_steps(times, dt)):
+        state = propagate(state, potential, dt, steps, flags, n_max=n_max)
+        if route != "characteristic":
+            w = wigner_transform(state) if route == "schrodinger" else state
+            report = moments(w).as_dict()
+            series.append((t,) + tuple(report.values()))
     if route == "characteristic":
-        final_values = state.values
-        monitors = {"norm_drift": state.diagonal_total() - 1.0,
-                    "boundary_mass": boundary_mass(final_values, (0, 1))}
+        final = state.values
+        drift = state.diagonal_total() - 1.0
         metrics = {"hermiticity_defect": state.hermiticity_defect(),
                    "final_time": t}
     else:
-        w_final = w if route != "schrodinger" else wigner_transform(state)
-        final_values = w_final.values
-        if route == "schrodinger":
-            drift = norm(state) ** 2 - 1.0
-        else:
-            drift = w_final.total() - 1.0
-        monitors = {"norm_drift": drift,
-                    "boundary_mass": boundary_mass(final_values, (0, 1))}
-        metrics = {"final_time": t,
-                   "final_moments": moments(w_final).as_dict()}
-    monitors["boundary_flagged"] = bool(flags)
-    if "binary" in config.formats:
-        wio.write_field(out / "final.wig1", final_values, grid, t)
-        artifacts.append("final.wig1")
-    if "csv" in config.formats and series:
-        header = ("t", "mean_x", "mean_p", "var_x", "var_p", "cov_xp",
-                  "uncertainty_product", "blob_area")
-        wio.write_csv(out / "series.csv", header, series)
-        artifacts.append("series.csv")
-    return metrics, monitors
+        final = w.values
+        drift = (norm(state) ** 2 if route == "schrodinger"
+                 else w.total()) - 1.0
+        metrics = {"final_time": t, "final_moments": report}
+    save("binary", "final.wig1", wio.write_field, final, grid, t)
+    if series:
+        save("csv", "series.csv", wio.write_csv,
+             ("t", "mean_x", "mean_p", "var_x", "var_p", "cov_xp",
+              "uncertainty_product", "blob_area"), series)
+    return metrics, dict(_monitors(drift, final), boundary_flagged=bool(flags))
 
 
-def _run_validate(config, grid, psi, potential, artifacts, out):
-    spec = config.experiment
-    dt = _number(spec, "dt", "experiment")
-    t_final = _number(spec, "t_final", "experiment")
-    times = _times_from(spec, "experiment")
-    report = cross_validate(psi, potential, t_final, dt, times)
+def _run_validate(grid, psi, potential, save, dt, t_final, sample_times):
+    report = cross_validate(psi, potential, t_final, dt,
+                            sample_times or [t_final])
     metrics = {
         "max_pairwise": report.max_pairwise(),
         "max_factorization_residual": max(report.factorization_residual),
@@ -459,25 +382,17 @@ def _run_validate(config, grid, psi, potential, artifacts, out):
     monitors = {"norm_drift": report.norm_drift[-1],
                 "boundary_mass": report.boundary[-1],
                 "boundary_flagged": report.boundary_flagged}
-    if "json" in config.formats:
-        wio.write_json(out / "validation.json", report.as_dict())
-        artifacts.append("validation.json")
-    if "csv" in config.formats:
-        rows = [(report.times[i], report.pair_l2["ab"][i],
-                 report.pair_l2["ac"][i], report.pair_l2["bc"][i],
-                 report.norm_drift[i], report.energy_drift[i],
-                 report.boundary[i], report.factorization_residual[i])
-                for i in range(len(report.times))]
-        wio.write_csv(out / "validation.csv",
-                      ("t", "l2_ab", "l2_ac", "l2_bc", "norm_drift",
-                       "energy_drift", "boundary_mass",
-                       "factorization_residual"), rows)
-        artifacts.append("validation.csv")
+    save("json", "validation.json", wio.write_json, report.as_dict())
+    save("csv", "validation.csv", wio.write_csv,
+         ("t", "l2_ab", "l2_ac", "l2_bc", "norm_drift", "energy_drift",
+          "boundary_mass", "factorization_residual"),
+         zip(report.times, report.pair_l2["ab"], report.pair_l2["ac"],
+             report.pair_l2["bc"], report.norm_drift, report.energy_drift,
+             report.boundary, report.factorization_residual))
     return metrics, monitors
 
 
-def _run_tomo(config, grid, psi, potential, artifacts, out):
-    n_angles = config.experiment.get("n_angles", 180)
+def _run_tomo(grid, psi, potential, save, n_angles):
     angles = [i * np.pi / n_angles for i in range(n_angles)]
     w = wigner_transform(psi)
     tomo = forward_tomogram(w, angles)
@@ -488,26 +403,18 @@ def _run_tomo(config, grid, psi, potential, artifacts, out):
                "min_w_source": float(w.values.min()),
                "min_w_reconstructed": float(rec.values.min()),
                "min_before_clip": tomo.min_before_clip}
-    monitors = {"norm_drift": w.total() - 1.0,
-                "boundary_mass": boundary_mass(w.values, (0, 1))}
-    if "csv" in config.formats:
-        n_x = len(tomo.x_axis)
-        rows = zip(np.repeat(angles, n_x), np.tile(tomo.x_axis, len(angles)),
-                   tomo.values.ravel())
-        wio.write_csv(out / "tomogram.csv", ("theta", "X", "w"), rows)
-        artifacts.append("tomogram.csv")
-    if "binary" in config.formats:
-        wio.write_field(out / "tomogram.wig1", tomo.values, grid, w.t)
-        wio.write_field(out / "reconstruction.wig1", rec.values, grid, w.t)
-        artifacts.extend(["tomogram.wig1", "reconstruction.wig1"])
-    return metrics, monitors
+    n_x = len(tomo.x_axis)
+    save("csv", "tomogram.csv", wio.write_csv, ("theta", "X", "w"),
+         zip(np.repeat(angles, n_x), np.tile(tomo.x_axis, len(angles)),
+             tomo.values.ravel()))
+    save("binary", "tomogram.wig1", wio.write_field, tomo.values, grid, w.t)
+    save("binary", "reconstruction.wig1", wio.write_field, rec.values, grid,
+         w.t)
+    return metrics, _monitors(w.total() - 1.0, w.values)
 
 
-def _run_ehrenfest(config, grid, psi, potential, artifacts, out):
-    spec = config.experiment
-    table = ehrenfest_track(psi, potential,
-                            _numbers(spec, "t_grid", "experiment"),
-                            _number(spec, "dt", "experiment"))
+def _run_ehrenfest(grid, psi, potential, save, dt, t_grid):
+    table = ehrenfest_track(psi, potential, t_grid, dt)
     gap = np.abs(table[:, 3] - table[:, 4])
     classical_gap = np.hypot(table[:, 1] - table[:, 5],
                              table[:, 2] - table[:, 6])
@@ -515,43 +422,108 @@ def _run_ehrenfest(config, grid, psi, potential, artifacts, out):
                "max_classical_gap": float(classical_gap.max()),
                "final_mean_x": float(table[-1, 1]),
                "final_mean_p": float(table[-1, 2])}
-    monitors = {"norm_drift": norm(psi) ** 2 - 1.0,
-                "boundary_mass": boundary_mass(
-                    np.abs(psi.samples) ** 2, (0,))}
-    if "csv" in config.formats:
-        header = ("t", "mean_x", "mean_p", "mean_force", "force_at_mean",
-                  "classical_x", "classical_p")
-        wio.write_csv(out / "ehrenfest.csv", header,
-                      [tuple(row) for row in table])
-        artifacts.append("ehrenfest.csv")
-    return metrics, monitors
+    save("csv", "ehrenfest.csv", wio.write_csv,
+         ("t", "mean_x", "mean_p", "mean_force", "force_at_mean",
+          "classical_x", "classical_p"), [tuple(row) for row in table])
+    return metrics, _monitors(norm(psi) ** 2 - 1.0,
+                              np.abs(psi.samples) ** 2, (0,))
 
 
-_RUNNERS = {"wigner": _run_wigner, "moments": _run_moments,
-            "evolve": _run_evolve, "validate": _run_validate,
-            "tomo": _run_tomo, "ehrenfest": _run_ehrenfest}
+# section.key -> check, for every key that is not a plain number
+TYPES = {
+    "scenario.name": _expect("a non-empty string",
+                             lambda value: isinstance(value, str) and value),
+    "scenario.formats": lambda value, context: tuple(_expect(
+        f"a non-empty subset of {FORMATS}", lambda v: isinstance(v, list)
+        and v and all(f in FORMATS for f in v))(value, context)),
+    **{f"scenario.{section}": lambda value, context: copy.deepcopy(value)
+       for section in ("grid", "state", "potential", "experiment")},
+    "grid.n": _expect("an integer", _is_int),
+    "grid.square": _expect("true or false",
+                           lambda value: isinstance(value, bool)),
+    "state.level": _expect("an integer", _is_int),
+    "state.components": _list_of(
+        lambda part, context: _section("state", part, context)),
+    "state.coefficients": _list_of(_amplitude),
+    "potential.coefficients": _list_of(_number),
+    "experiment.route": _expect(
+        f"a route from {tuple(ROUTES)}",
+        lambda value: isinstance(value, str) and value in ROUTES),
+    "experiment.dt": lambda value, context: _positive(
+        _number(value, context), context),
+    "experiment.sample_times": lambda value, context: (
+        None if value is None else _list_of(_number)(value, context)),
+    "experiment.t_grid": _list_of(_number),
+    "experiment.n_max": _expect("an integer >= 0",
+                                lambda v: _is_int(v) and v >= 0),
+    "experiment.n_angles": _expect("an integer >= 2",
+                                   lambda v: _is_int(v) and v >= 2),
+}
+
+# section -> kind -> (builder or runner, required keys, optional keys with
+# their defaults); the top level ("scenario") and the grid have no kind.
+# A key that TYPES does not name is a finite number, converted to float.
+SCHEMA = {
+    # the default name, the file's stem or the built-in's name, is filled
+    # in by _parse_config
+    "scenario": {None: (ScenarioConfig, ("grid", "state"), {
+        "name": None, "potential": {"kind": "free"},
+        "experiment": {"kind": "wigner"}, "formats": FORMATS})},
+    "grid": {None: (_grid, ("n",), {"x_min": None, "x_max": None,
+                                    "square": False, "hbar": 1.0,
+                                    "mass": 1.0})},
+    "state": {
+        "gaussian": (gaussian_packet, (),
+                     {"x0": 0.0, "p0": 0.0, "sigma": 1.0}),
+        "harmonic": (harmonic_eigenstate, (), {"level": 0, "omega": 1.0}),
+        "cat": (cat_state, ("x0", "sigma"), {"p0": 0.0}),
+        "two_slit": (two_slit_state, ("separation", "slit_width"), {}),
+        "superposition": (_superposition, ("components", "coefficients"), {}),
+    },
+    "potential": {
+        "free": (lambda grid: free_particle(), (), {}),
+        "harmonic": (lambda grid, omega: harmonic(omega, grid.mass), (),
+                     {"omega": 1.0}),
+        "quartic": (lambda grid, lam: quartic(lam), ("lam",), {}),
+        "double_well": (lambda grid, a, b: double_well(a, b), ("a", "b"), {}),
+        "polynomial": (lambda grid, coefficients: polynomial(coefficients),
+                       ("coefficients",), {}),
+    },
+    "experiment": {
+        "wigner": (_run_wigner, (), {}),
+        "moments": (_run_moments, (), {}),
+        "evolve": (_run_evolve, ("route", "dt", "t_final"),
+                   {"sample_times": None, "n_max": 1}),
+        "validate": (_run_validate, ("dt", "t_final"), {"sample_times": None}),
+        "tomo": (_run_tomo, (), {"n_angles": 180}),
+        "ehrenfest": (_run_ehrenfest, ("dt", "t_grid"), {}),
+    },
+}
 
 
 def run_scenario(config: ScenarioConfig, output_dir) -> dict:
     """Execute a scenario and write its artifacts; returns the manifest.
 
     All scientific outputs (manifest, fields, tables) are byte-identical
-    across runs for a fixed (config, version); only timing.json varies.
+    across runs of a fixed (config, version) on one numpy build and CPU;
+    only timing.json varies.
     """
-    from pathlib import Path
     from . import __version__
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
-    grid = build_grid(config.grid)
-    psi = build_state(grid, config.state)
-    potential = build_potential(config.potential)
+    grid, psi, potential = _build(config)
+    run, values = _section("experiment", config.experiment)
     artifacts: list = []
-    metrics, monitors = _RUNNERS[config.experiment["kind"]](
-        config, grid, psi, potential, artifacts, out)
 
+    def save(fmt, name, writer, *args):
+        if fmt in config.formats:
+            writer(out / name, *args)
+            artifacts.append(name)
+
+    metrics, monitors = run(grid, psi, potential, save, **values)
     manifest = {
         "scenario": config.name,
         "version": __version__,

@@ -44,14 +44,14 @@ def norm(psi: Wavefunction) -> float:
 
 def normalized(psi: Wavefunction) -> Wavefunction:
     nrm = norm(psi)
-    if nrm < CANCEL_TOL:
+    if not nrm >= CANCEL_TOL:   # NaN too
         raise NormalizationError(f"state norm {nrm:.3e} too small to normalize")
     return Wavefunction(psi.grid, psi.samples / nrm, psi.t)
 
 
 def check_normalized(psi: Wavefunction, tol: float = 1e-9) -> None:
     nrm2 = np.sum(np.abs(psi.samples) ** 2) * psi.grid.dx
-    if abs(nrm2 - 1.0) > tol:
+    if not abs(nrm2 - 1.0) <= tol:   # NaN too
         raise NormalizationError(f"state not normalized: |psi|^2 = {nrm2!r}")
 
 
@@ -85,9 +85,7 @@ def gaussian_packet(grid: PhaseGrid, x0: float, p0: float,
     x = grid.x
     psi = np.exp(-(x - x0) ** 2 / (4.0 * sigma ** 2)
                  + 1j * p0 * x / grid.hbar)
-    psi = psi.astype(complex)
-    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
-    return Wavefunction(grid, psi, 0.0)
+    return normalized(Wavefunction(grid, psi.astype(complex)))
 
 
 def harmonic_eigenstate(grid: PhaseGrid, level: int,
@@ -120,9 +118,7 @@ def harmonic_eigenstate(grid: PhaseGrid, level: int,
             h, h_prev = (np.sqrt(2.0 / (k + 1)) * xi * h
                          - np.sqrt(k / (k + 1.0)) * h_prev), h
         psi = h
-    psi = psi.astype(complex)
-    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
-    return Wavefunction(grid, psi, 0.0)
+    return normalized(Wavefunction(grid, psi.astype(complex)))
 
 
 def superpose(states: Sequence[Wavefunction],

@@ -11,13 +11,20 @@ exactly the squared norm of psi.  The x' integral is evaluated on a
 doubled-resolution auxiliary axis (trigonometric interpolation), so
 psi(x +/- x'/2) lands on sample points and no polynomial interpolation
 is ever used.
+
+The "centered" transform pair maps an array indexed by j' = j - n/2 to
+one indexed by l' = l - n/2:
+
+    F[l] = sum_j  a[j] exp(-2i*pi*(l - n/2)*(j - n/2)/n)
+
+so that physically centered axes (x' = (j - n/2)*dx, p = (l - n/2)*dp)
+transform into each other without explicit phase ramps.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._spectral import centered_fft, centered_ifft, upsample2
 from .errors import ConvergenceError, NormalizationError, PurityError, StateError
 from .grid import PhaseGrid
 from .states import Wavefunction, check_normalized
@@ -26,11 +33,38 @@ __all__ = [
     "WignerFunction", "CharacteristicZ",
     "wigner_transform", "marginal_position", "marginal_momentum",
     "reconstruct_wavefunction", "to_characteristic", "factorize_characteristic",
+    "purity",
 ]
 
 IMAG_RESIDUE_TOL = 1e-12
 PURITY_GATE = 0.999
 ANCHOR_FLOOR = 1e-6
+
+
+def centered(transform, a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """np.fft.fft or np.fft.ifft in the centered convention above."""
+    return np.fft.fftshift(
+        transform(np.fft.ifftshift(a, axes=axis), axis=axis), axes=axis)
+
+
+def upsample2(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Trigonometric interpolation onto a lattice of doubled resolution.
+
+    Zero-pads the spectrum; the Nyquist bin is split evenly between
+    +/- Nyquist so real inputs stay real. Exact for band-limited data.
+    """
+    a = np.asarray(a)
+    n = a.shape[axis]
+    if n % 2:
+        raise ValueError("upsample2 requires an even sample count")
+    spec = np.moveaxis(np.fft.fft(a, axis=axis), axis, -1)
+    padded = np.zeros(spec.shape[:-1] + (2 * n,), dtype=complex)
+    half = n // 2
+    padded[..., :half] = spec[..., :half]
+    padded[..., 2 * n - half + 1:] = spec[..., half + 1:]
+    # split the Nyquist bin
+    padded[..., half] = padded[..., 2 * n - half] = 0.5 * spec[..., half]
+    return np.moveaxis(2.0 * np.fft.ifft(padded), -1, axis)
 
 
 @dataclass(frozen=True)
@@ -109,7 +143,8 @@ def wigner_transform(psi: Wavefunction) -> WignerFunction:
     g = psi.grid
     n = g.n
     corr = _correlation_half_axis(psi.samples, n)
-    spec = centered_fft(corr, axis=1) * (g.dx / (2.0 * np.pi * g.hbar))
+    spec = centered(np.fft.fft, corr, axis=1) \
+        * (g.dx / (2.0 * np.pi * g.hbar))
     residue = float(np.max(np.abs(spec.imag)))
     if residue > IMAG_RESIDUE_TOL:
         raise NormalizationError(
@@ -138,7 +173,7 @@ def to_characteristic(w: WignerFunction) -> CharacteristicZ:
     n = g.n
     # inverse of the transform used in wigner_transform: recovers
     # C[k, j] = conj(psi(x_k - x'_j/2)) psi(x_k + x'_j/2) exactly
-    corr = centered_ifft(w.values.astype(complex), axis=1) \
+    corr = centered(np.fft.ifft, w.values.astype(complex), axis=1) \
         * (2.0 * np.pi * g.hbar / g.dx)
     fine = upsample2(corr, axis=0)  # midpoint axis at spacing dx/2
     a = np.arange(n)[:, None]
@@ -152,7 +187,11 @@ def to_characteristic(w: WignerFunction) -> CharacteristicZ:
     return CharacteristicZ(g, fine[mid, sep], w.t)
 
 
-def purity_of(w: WignerFunction) -> float:
+def purity(w: WignerFunction) -> float:
+    """2 pi hbar * integral W^2; 1 for pure states, < 1 for mixtures."""
+    total = w.total()
+    if abs(total - 1.0) > 1e-6:
+        raise StateError(f"Wigner field not normalized: integral = {total!r}")
     g = w.grid
     return float(2.0 * np.pi * g.hbar * np.sum(w.values ** 2) * g.dx * g.dp)
 
@@ -165,7 +204,7 @@ def reconstruct_wavefunction(w: WignerFunction) -> Wavefunction:
     position marginal (the x_a = 0 choice fails for odd-parity states).
     Output normalized, with psi(x_a) real and positive.
     """
-    pur = purity_of(w)
+    pur = purity(w)
     if pur < PURITY_GATE:
         raise PurityError(f"purity {pur:.6f} below gate {PURITY_GATE}; "
                           "field is not a pure state")

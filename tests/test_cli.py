@@ -199,12 +199,12 @@ def test_characteristic_hermiticity_trip_names_step(tmp_path, capsys):
 
 def test_evolve_rejects_unreachable_sample_times(tmp_path, capsys):
     """With dt = 0.3 the run cannot stop at t = 0.5 or 1.0; it must fail
-    before propagating instead of labelling t = 1.2 as t = 1.0."""
+    before any output exists instead of labelling t = 1.2 as t = 1.0."""
     config = write_evolve(tmp_path, "drift", "schrodinger", 0.3, 1.0, p0=1.0,
                           extra="  sample_times: [0.5, 1.0]\n")
     assert main(["run", str(config), "--output", str(tmp_path / "o")]) == 3
     assert "not a multiple of dt" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "final.wig1").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_yaml_exponent_floats(tmp_path):

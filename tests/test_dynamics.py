@@ -7,7 +7,7 @@ from wignerlab import (CharacteristicZ, MonitorError, PropagationError,
                        propagate_characteristic, propagate_moyal_exact,
                        propagate_moyal_truncated, propagate_schrodinger,
                        quartic, to_characteristic, wigner_transform)
-from wignerlab.dynamics import boundary_mass
+from wignerlab.dynamics import boundary_mass, sample_steps
 from wignerlab.observables import expectation_operator
 
 from conftest import SQRT_HALF, gaussian_wigner
@@ -232,6 +232,16 @@ def test_cross_validate_rejects_incommensurate_samples(grid256):
     psi = gaussian_packet(grid256, 1.0, 0.0, SQRT_HALF)
     with pytest.raises(PropagationError):
         cross_validate(psi, harmonic(1.0), 1.0, 1e-3, [0.00055])
+
+
+def test_sample_steps_from_a_start_time():
+    assert sample_steps([1.5, 2.0], 0.25, 1.0) == [2, 2]
+    assert sample_steps([0.5, 0.5, 1.0], 0.25) == [2, 0, 2]
+    for times, dt, t0 in (([0.5], 0.25, 1.0),     # before the start
+                          ([0.4], 0.25, 0.0),
+                          ([1.0], 1e-320, 0.0)):  # the ratio overflows
+        with pytest.raises(PropagationError, match="not a multiple of dt"):
+            sample_steps(times, dt, t0)
 
 
 def test_boundary_mass_metric():

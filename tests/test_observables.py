@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wignerlab import (StateError, cat_state, classical_trajectory,
+from wignerlab import (PropagationError, StateError, Wavefunction,
+                       cat_state, classical_trajectory,
                        ehrenfest_track, expectation_operator,
                        expectation_phase_space, free_particle,
                        gaussian_packet, harmonic, harmonic_eigenstate,
@@ -154,6 +155,22 @@ def test_classical_trajectory_energy_drift():
 def test_classical_trajectory_rejects_bad_dt():
     with pytest.raises(StateError):
         classical_trajectory(0.0, 0.0, harmonic(1.0), [1.0], 0.0)
+
+
+def test_classical_trajectory_rejects_unreachable_time():
+    with pytest.raises(PropagationError, match="not a multiple of dt"):
+        classical_trajectory(0.0, 0.0, harmonic(1.0), [0.15], 0.1)
+
+
+def test_ehrenfest_orbit_starts_at_the_state_time(grid256):
+    """Quantum state and classical orbit run on one schedule from psi0.t;
+    an orbit launched at t = 0 instead was 1.61 off the packet here."""
+    packet = gaussian_packet(grid256, 2.0, 0.0, SQRT_HALF)
+    psi = Wavefunction(grid256, packet.samples, 1.0)
+    table = ehrenfest_track(psi, harmonic(1.0), [1.0, 1.5], 5e-4)
+    assert np.array_equal(table[:, 0], [1.0, 1.5])
+    assert np.max(np.abs(table[:, 1] - table[:, 5])) < 1e-6
+    assert np.max(np.abs(table[:, 2] - table[:, 6])) < 1e-6
 
 
 def test_ehrenfest_harmonic_follows_classical(grid256):
