@@ -7,56 +7,19 @@ with a classical-limit knob, dual-route expectation values, and
 quadrature tomography with filtered back-projection.
 """
 
-from .errors import (ConfigError, ConvergenceError, GridError, MonitorError,
-                     NormalizationError, PropagationError, PurityError,
-                     StateError, TomographyError, WignerlabError)
-from .grid import PhaseGrid, make_grid, square_grid
-from .potentials import (Potential, double_well, free_particle, harmonic,
-                         polynomial, quartic)
-from .states import (Wavefunction, cat_state, gaussian_packet,
-                     harmonic_eigenstate, momentum_samples, norm, normalized,
-                     superpose, two_slit_state)
-from .wigner import (CharacteristicZ, WignerFunction,
-                     factorize_characteristic, marginal_momentum,
-                     marginal_position, reconstruct_wavefunction,
-                     to_characteristic, wigner_transform)
-from .observables import (MomentReport, classical_trajectory, ehrenfest_track,
-                          expectation_operator, expectation_phase_space,
-                          moments, negativity, purity)
-from .dynamics import (EvolutionReport, boundary_mass, cross_validate,
-                       propagate_characteristic, propagate_moyal_exact,
-                       propagate_moyal_truncated, propagate_schrodinger)
-from .tomography import Tomogram, forward_tomogram, inverse_tomogram
+from . import (dynamics, errors, grid, observables, potentials, states,
+               tomography, wigner)
+from .errors import *
+from .grid import *
+from .potentials import *
+from .states import *
+from .wigner import *
+from .observables import *
+from .dynamics import *
+from .tomography import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "WignerlabError", "GridError", "StateError", "NormalizationError",
-    "PurityError", "ConvergenceError", "PropagationError", "MonitorError",
-    "TomographyError", "ConfigError",
-    # grid
-    "PhaseGrid", "make_grid", "square_grid",
-    # potentials
-    "Potential", "polynomial", "free_particle", "harmonic", "quartic",
-    "double_well",
-    # states
-    "Wavefunction", "norm", "normalized", "momentum_samples",
-    "gaussian_packet", "harmonic_eigenstate", "superpose", "cat_state",
-    "two_slit_state",
-    # wigner
-    "WignerFunction", "CharacteristicZ", "wigner_transform",
-    "marginal_position", "marginal_momentum", "reconstruct_wavefunction",
-    "to_characteristic", "factorize_characteristic",
-    # observables
-    "MomentReport", "expectation_operator", "expectation_phase_space",
-    "moments", "purity", "negativity", "ehrenfest_track",
-    "classical_trajectory",
-    # dynamics
-    "EvolutionReport", "propagate_schrodinger", "propagate_moyal_exact",
-    "propagate_moyal_truncated", "propagate_characteristic",
-    "cross_validate", "boundary_mass",
-    # tomography
-    "Tomogram", "forward_tomogram", "inverse_tomogram",
-]
+__all__ = ["__version__", *errors.__all__, *grid.__all__,
+           *potentials.__all__, *states.__all__, *wigner.__all__,
+           *observables.__all__, *dynamics.__all__, *tomography.__all__]

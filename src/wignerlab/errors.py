@@ -6,6 +6,12 @@ Exit-code mapping used by the CLI:
     numerical monitor hard failures (Monitor/Convergence)              -> 4
 """
 
+__all__ = [
+    "WignerlabError", "GridError", "StateError", "NormalizationError",
+    "PurityError", "ConvergenceError", "PropagationError", "MonitorError",
+    "TomographyError", "ConfigError",
+]
+
 
 class WignerlabError(Exception):
     """Base class for every error raised by this package."""

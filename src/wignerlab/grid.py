@@ -64,9 +64,10 @@ class PhaseGrid:
         """Angular frequencies conjugate to x, in fft order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
-    def is_centered(self, tol: float = 1e-9) -> bool:
-        """True when the position axis is symmetric about x = 0."""
-        return abs(self.x_min + self.x_max) <= tol * self.dx
+    def is_centered(self) -> bool:
+        """True when the position axis is symmetric about x = 0, to
+        1e-9 of a cell."""
+        return abs(self.x_min + self.x_max) <= 1e-9 * self.dx
 
 
 def make_grid(n: int, x_min: float, x_max: float,

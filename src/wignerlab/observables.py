@@ -14,12 +14,11 @@ import numpy as np
 from .errors import StateError
 from .potentials import Potential
 from .states import Wavefunction, check_normalized
-from .wigner import WignerFunction, purity
+from .wigner import WignerFunction, purity  # purity: kept importable here
 
 __all__ = [
     "MomentReport", "expectation_operator", "expectation_phase_space",
-    "moments", "purity", "negativity", "ehrenfest_track",
-    "classical_trajectory",
+    "moments", "negativity", "ehrenfest_track", "classical_trajectory",
 ]
 
 MAX_POLY_DEGREE = 4
@@ -186,20 +185,19 @@ def ehrenfest_track(psi0: Wavefunction, potential: Potential, t_grid,
     from .dynamics import propagate_schrodinger, sample_steps  # cycle break
 
     g = psi0.grid
-    t_grid = [float(t) for t in t_grid]
     schedule = sample_steps(t_grid, dt, psi0.t)
     orbit = _rk4_orbit(expectation_operator(psi0, "x"),
                        expectation_operator(psi0, "p"), potential, dt,
                        schedule, g.mass, psi0.t)
     rows = []
     psi = psi0
-    for target, steps, (_, x_cl, p_cl) in zip(t_grid, schedule, orbit):
+    for steps, (_, x_cl, p_cl) in zip(schedule, orbit):
         psi = propagate_schrodinger(psi, potential, dt, steps)
         density = np.abs(psi.samples) ** 2
         mean_x = float(np.sum(g.x * density) * g.dx)
         mean_p = expectation_operator(psi, "p")
         mean_force = float(np.sum(potential.force(g.x) * density) * g.dx)
         force_at_mean = float(potential.force(mean_x))
-        rows.append((target, mean_x, mean_p, mean_force, force_at_mean,
+        rows.append((psi.t, mean_x, mean_p, mean_force, force_at_mean,
                      x_cl, p_cl))
     return np.array(rows)

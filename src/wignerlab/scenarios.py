@@ -4,10 +4,12 @@ A scenario is one YAML document: grid + state + potential + experiment +
 output options.  One table, SCHEMA, gives every section's kinds with
 their builder (or runner), required keys and optional keys with
 defaults.  Keys outside it are rejected so typos fail loudly instead of
-silently running a default.  Every run writes a manifest.json whose
-bytes depend only on (config, package version); wall-clock timing goes
-to a separate timing.json sidecar so the scientific artifacts stay
-byte-reproducible across runs on one numpy build and CPU.
+silently running a default.  A scenario runs to the end before it
+writes anything, so a failed run leaves no output.  Every run writes a
+manifest.json whose bytes depend only on (config, package version);
+wall-clock timing goes to a separate timing.json sidecar so the
+scientific artifacts stay byte-reproducible across runs on one numpy
+build and CPU.
 """
 
 import copy
@@ -99,6 +101,19 @@ def _amplitude(value, context) -> complex:
     return complex(_number(value, context))
 
 
+def _acyclic(value, context, enclosing=()):
+    """The value, unless a YAML alias inside its own anchor makes it
+    contain itself (no check of it could finish)."""
+    if id(value) in enclosing:
+        raise ConfigError(f"{context}: contains itself (a YAML alias "
+                          "inside its own anchor)")
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        _acyclic(item, f"{context}.{key}", (*enclosing, id(value)))
+    return value
+
+
 def _section(section: str, spec, context=None):
     """Check one config section against SCHEMA.
 
@@ -165,14 +180,8 @@ def _build(config: ScenarioConfig) -> list:
 def _parse_config(doc: dict, default_name: str) -> ScenarioConfig:
     build, values = _section("scenario", {"name": default_name, **doc})
     config = build(**values)
-    # check and build everything now, so a bad config fails before any
-    # output exists
-    _, spec = _section("experiment", config.experiment)
-    if "dt" in spec:
-        times = (spec.get("t_grid") or spec.get("sample_times")
-                 or [spec["t_final"]])
-        sample_steps(sorted(times) if config.experiment["kind"] == "validate"
-                     else times, spec["dt"])
+    # check and build every section now, so a bad config fails on load
+    _section("experiment", config.experiment)
     _build(config)
     return config
 
@@ -286,8 +295,9 @@ def list_scenarios() -> list:
 
 
 # Runners: runner(grid, psi, potential, save, **values) -> (metrics,
-# monitors), where save(format, name, writer, *args) writes an artifact
-# if the scenario asks for that format.
+# monitors), where save(format, name, writer, *args) has run_scenario
+# call writer(path, *args) once the runner has returned, if the scenario
+# asks for that format.
 
 def _monitors(drift, values, axes=(0, 1)) -> dict:
     return {"norm_drift": drift, "boundary_mass": boundary_mass(values, axes)}
@@ -343,26 +353,25 @@ def _run_evolve(grid, psi, potential, save, route, dt, t_final,
                 sample_times, n_max):
     initial, propagate = ROUTES[route]
     state = initial(psi)
-    times = sample_times or [t_final]
     flags: list = []
     series = []
-    for t, steps in zip(times, sample_steps(times, dt)):
+    for steps in sample_steps(sample_times or [t_final], dt):
         state = propagate(state, potential, dt, steps, flags, n_max=n_max)
         if route != "characteristic":
             w = wigner_transform(state) if route == "schrodinger" else state
             report = moments(w).as_dict()
-            series.append((t,) + tuple(report.values()))
+            series.append((state.t,) + tuple(report.values()))
     if route == "characteristic":
         final = state.values
         drift = state.diagonal_total() - 1.0
         metrics = {"hermiticity_defect": state.hermiticity_defect(),
-                   "final_time": t}
+                   "final_time": state.t}
     else:
         final = w.values
         drift = (norm(state) ** 2 if route == "schrodinger"
                  else w.total()) - 1.0
-        metrics = {"final_time": t, "final_moments": report}
-    save("binary", "final.wig1", wio.write_field, final, grid, t)
+        metrics = {"final_time": state.t, "final_moments": report}
+    save("binary", "final.wig1", wio.write_field, final, grid, state.t)
     if series:
         save("csv", "series.csv", wio.write_csv,
              ("t", "mean_x", "mean_p", "var_x", "var_p", "cov_xp",
@@ -436,7 +445,8 @@ TYPES = {
     "scenario.formats": lambda value, context: tuple(_expect(
         f"a non-empty subset of {FORMATS}", lambda v: isinstance(v, list)
         and v and all(f in FORMATS for f in v))(value, context)),
-    **{f"scenario.{section}": lambda value, context: copy.deepcopy(value)
+    **{f"scenario.{section}": lambda value, context: copy.deepcopy(
+        _acyclic(value, context))
        for section in ("grid", "state", "potential", "experiment")},
     "grid.n": _expect("an integer", _is_int),
     "grid.square": _expect("true or false",
@@ -504,24 +514,21 @@ SCHEMA = {
 def run_scenario(config: ScenarioConfig, output_dir) -> dict:
     """Execute a scenario and write its artifacts; returns the manifest.
 
-    All scientific outputs (manifest, fields, tables) are byte-identical
-    across runs of a fixed (config, version) on one numpy build and CPU;
-    only timing.json varies.
+    The scenario runs to the end before anything is written, so a run
+    that fails leaves no output.  All scientific outputs (manifest,
+    fields, tables) are byte-identical across runs of a fixed (config,
+    version) on one numpy build and CPU; only timing.json varies.
     """
     from . import __version__
 
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-
     grid, psi, potential = _build(config)
     run, values = _section("experiment", config.experiment)
-    artifacts: list = []
+    pending: dict = {}
 
     def save(fmt, name, writer, *args):
         if fmt in config.formats:
-            writer(out / name, *args)
-            artifacts.append(name)
+            pending[name] = (writer, args)
 
     metrics, monitors = run(grid, psi, potential, save, **values)
     manifest = {
@@ -530,9 +537,13 @@ def run_scenario(config: ScenarioConfig, output_dir) -> dict:
         "config": config.as_dict(),
         "metrics": metrics,
         "monitors": monitors,
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted(pending),
         "runtime_artifact": "timing.json",
     }
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (writer, args) in pending.items():
+        writer(out / name, *args)
     wio.write_json(out / "manifest.json", manifest)
     wio.write_json(out / "timing.json",
                    {"runtime_seconds": time.perf_counter() - started})

@@ -19,7 +19,7 @@ __all__ = [
     "cat_state", "two_slit_state",
 ]
 
-NORM_TOL = 1e-12
+NORM_TOL = 1e-9    # allowed |1 - integral |psi|^2 dx| of a normalized state
 CANCEL_TOL = 1e-7  # pre-normalization amplitude below which superpose fails
 
 
@@ -49,9 +49,9 @@ def normalized(psi: Wavefunction) -> Wavefunction:
     return Wavefunction(psi.grid, psi.samples / nrm, psi.t)
 
 
-def check_normalized(psi: Wavefunction, tol: float = 1e-9) -> None:
+def check_normalized(psi: Wavefunction) -> None:
     nrm2 = np.sum(np.abs(psi.samples) ** 2) * psi.grid.dx
-    if not abs(nrm2 - 1.0) <= tol:   # NaN too
+    if not abs(nrm2 - 1.0) <= NORM_TOL:   # NaN too
         raise NormalizationError(f"state not normalized: |psi|^2 = {nrm2!r}")
 
 

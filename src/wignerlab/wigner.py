@@ -39,6 +39,8 @@ __all__ = [
 IMAG_RESIDUE_TOL = 1e-12
 PURITY_GATE = 0.999
 ANCHOR_FLOOR = 1e-6
+FACTORIZE_MAX_ITER = 10000   # power-iteration cap
+FACTORIZE_RTOL = 1e-12       # relative eigenvalue change that ends it
 
 
 def centered(transform, a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -224,8 +226,7 @@ def reconstruct_wavefunction(w: WignerFunction) -> Wavefunction:
     return Wavefunction(w.grid, psi, w.t)
 
 
-def factorize_characteristic(z: CharacteristicZ, max_iter: int = 10000,
-                             rtol: float = 1e-12):
+def factorize_characteristic(z: CharacteristicZ):
     """Dominant eigenfunction of the Hermitian kernel Z, plus residual.
 
     Power iteration on the quadrature-weighted kernel Z*dx; residual is
@@ -244,19 +245,21 @@ def factorize_characteristic(z: CharacteristicZ, max_iter: int = 10000,
         raise ConvergenceError("kernel is numerically zero")
     v /= vnorm
     lam_prev = None
-    for _ in range(max_iter):
+    for _ in range(FACTORIZE_MAX_ITER):
         w = mat @ v
         wnorm = np.linalg.norm(w)
         if wnorm == 0.0:
             raise ConvergenceError("power iteration collapsed to zero")
         lam = float(np.real(np.vdot(v, w)))
         v = w / wnorm
-        if lam_prev is not None and abs(lam - lam_prev) <= rtol * abs(lam):
+        if (lam_prev is not None
+                and abs(lam - lam_prev) <= FACTORIZE_RTOL * abs(lam)):
             break
         lam_prev = lam
     else:
         raise ConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations")
+            f"power iteration did not converge in {FACTORIZE_MAX_ITER} "
+            "iterations")
     residual = 1.0 - lam / trace
     # normalize and anchor the phase at the amplitude maximum
     v = v / np.sqrt(np.sum(np.abs(v) ** 2) * dx)

@@ -207,6 +207,60 @@ def test_evolve_rejects_unreachable_sample_times(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def write_late_sample(tmp_path):
+    path = tmp_path / "late.yaml"
+    path.write_text(QUICK_YAML.replace(
+        "kind: wigner", "kind: validate\n  dt: 0.25\n  t_final: 1.0\n"
+                        "  sample_times: [2.0]"))
+    return path
+
+
+@pytest.mark.parametrize("write,code,message", [
+    (write_late_sample, 3, "sample times must lie inside [0, t_final]"),
+    (lambda tmp_path: write_evolve(tmp_path, "edge", "schrodinger", 0.01,
+                                   4.0), 4, "boundary mass"),
+])
+def test_failed_run_leaves_no_output(tmp_path, capsys, write, code,
+                                     message):
+    """Failures found while the scenario runs, after the config loaded:
+    a validate sample time past t_final, and a tripped monitor."""
+    config = write(tmp_path)
+    load_config(config)
+    out = tmp_path / "o"
+    assert main(["run", str(config), "--output", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_reports_the_time_reached(tmp_path):
+    """Three steps of 0.1 reach 0.30000000000000004, not t_final = 0.3."""
+    config = write_evolve(tmp_path, "reach", "schrodinger", 0.1, 0.3)
+    out = tmp_path / "o"
+    assert main(["run", str(config), "--output", str(out)]) == 0
+    reached = 0.0 + 3 * 0.1
+    assert reached != 0.3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["metrics"]["final_time"] == reached
+    series = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)
+    assert series[0] == reached
+    assert read_field(out / "final.wig1")[1]["time"] == reached
+
+
+def test_evolve_manifest_flags_boundary_mass(tmp_path):
+    """16 of these 50 steps put more than 1e-8 of the density in the
+    outer 5 % of the grid; none trips the 1e-4 limit."""
+    config = write_evolve(tmp_path, "near-edge", "schrodinger", 0.01, 0.5,
+                          p0=0.0, potential="  kind: harmonic")
+    config.write_text(config.read_text()
+                      .replace("x_min: -8.0", "x_min: -10.0")
+                      .replace("x_max: 8.0", "x_max: 10.0")
+                      .replace("x0: 0.0", "x0: 3.5"))
+    out = tmp_path / "o"
+    assert main(["run", str(config), "--output", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["monitors"]["boundary_flagged"] is True
+
+
 def test_yaml_exponent_floats(tmp_path):
     for text, value in (("1e-3", 1e-3), ("5.0e-4", 5e-4)):
         config = load_config(write_evolve(tmp_path, "exp", "moyal", text, 0.01))

@@ -98,6 +98,15 @@ def test_bad_values_are_config_errors(tmp_path, capsys, doc, message):
     assert_config_error_before_output(tmp_path, capsys, doc, message)
 
 
+def test_self_containing_superposition_is_config_error(tmp_path, capsys):
+    """A YAML alias inside its own anchor made the state check recurse
+    until a RecursionError escaped load_config."""
+    state = {"kind": "superposition", "coefficients": [1.0]}
+    state["components"] = [state]
+    assert_config_error_before_output(tmp_path, capsys, doc_with(state=state),
+                                      r"state\.components\.0: contains itself")
+
+
 @pytest.mark.parametrize("experiment", [
     {"kind": "evolve", "route": "moyal", "dt": 0.3, "t_final": 1.0,
      "sample_times": [0.5, 1.0]},

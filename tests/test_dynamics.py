@@ -221,6 +221,16 @@ def test_cross_validate_harmonic_full_period(grid256):
     assert not report.boundary_flagged
 
 
+def test_cross_validate_flags_boundary_mass():
+    """The Wigner field's boundary mass reaches 2.1e-6 here: above the
+    1e-8 flag, below the 1e-4 trip."""
+    g = make_grid(128, -10.0, 10.0)
+    psi = gaussian_packet(g, 2.0, 0.0, 1.0)
+    report = cross_validate(psi, harmonic(1.0), 0.5, 0.01, [0.5])
+    assert report.boundary_flagged
+    assert 1e-8 < report.boundary[-1] < 1e-4
+
+
 def test_cross_validate_empty_sample_times(grid256):
     psi = gaussian_packet(grid256, 1.0, 0.0, SQRT_HALF)
     report = cross_validate(psi, harmonic(1.0), 1.0, 1e-3, [])

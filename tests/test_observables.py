@@ -173,6 +173,12 @@ def test_ehrenfest_orbit_starts_at_the_state_time(grid256):
     assert np.max(np.abs(table[:, 2] - table[:, 6])) < 1e-6
 
 
+def test_ehrenfest_reports_the_time_reached(grid256):
+    psi = gaussian_packet(grid256, 1.0, 0.0, SQRT_HALF)
+    table = ehrenfest_track(psi, harmonic(1.0), [0.3], 0.1)
+    assert table[0, 0] == 0.0 + 3 * 0.1 != 0.3
+
+
 def test_ehrenfest_harmonic_follows_classical(grid256):
     psi = gaussian_packet(grid256, 2.0, 0.0, SQRT_HALF)
     table = ehrenfest_track(psi, harmonic(1.0),
