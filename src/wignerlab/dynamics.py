@@ -12,7 +12,8 @@ Route (c): two-coordinate Schrodinger-like evolution of the
 
 A fourth, deliberately approximate route is route (b) with the kick
 kernel cut to its Taylor series in x' up to the n_max-th quantum
-correction; n_max = 0 is the classical Liouville equation.
+correction; n_max = 0 is the classical Liouville equation.  Ehrenfest
+tracking runs route (a) beside a classical RK4 orbit.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import MonitorError, PropagationError
+from .errors import MonitorError, PropagationError, StateError
 from .grid import PhaseGrid
 from .observables import expectation_operator
 from .potentials import Potential
@@ -31,7 +32,8 @@ from .wigner import (CharacteristicZ, WignerFunction, factorize_characteristic,
 __all__ = [
     "EvolutionReport", "propagate_schrodinger", "propagate_moyal_exact",
     "propagate_moyal_truncated", "propagate_characteristic",
-    "cross_validate", "boundary_mass", "sample_steps",
+    "cross_validate", "boundary_mass", "sample_steps", "ehrenfest_track",
+    "classical_trajectory",
 ]
 
 BANDWIDTH_FRACTION = 0.8      # admissible fraction of the momentum Nyquist
@@ -294,11 +296,10 @@ def propagate_characteristic(z: CharacteristicZ, potential: Potential,
         return kin[:, None] * np.conj(kin)[None, :]
 
     def readings(values, spec, kicked):
-        yield ("Hermiticity defect",
-               float(np.max(np.abs(values - values.conj().T))),
+        kernel = CharacteristicZ(g, values)
+        yield ("Hermiticity defect", kernel.hermiticity_defect(),
                HERMITICITY_TOL)
-        yield ("diagonal norm drift",
-               abs(float(np.sum(values.diagonal().real) * g.dx - diag0)),
+        yield ("diagonal norm drift", abs(kernel.diagonal_total() - diag0),
                NORM_DRIFT_TOL)
 
     values = _strang(
@@ -342,15 +343,19 @@ def _l2(a: np.ndarray, b: np.ndarray, g: PhaseGrid) -> float:
 
 def cross_validate(psi0: Wavefunction, potential: Potential, t_final: float,
                    dt: float, sample_times) -> EvolutionReport:
-    """Run the three routes side by side and report their agreement.
+    """Run the three routes side by side from psi0.t and report their
+    agreement at the times reached.
 
-    sample_times must be multiples of dt inside [0, t_final].  An empty
-    request produces an empty report.
+    sample_times must lie whole numbers of steps dt after psi0.t, inside
+    [psi0.t, t_final].  An empty request produces an empty report.
     """
+    t0 = psi0.t
     sample_times = sorted(float(t) for t in sample_times)
-    if sample_times and (sample_times[0] < 0 or sample_times[-1] > t_final + 1e-12):
-        raise PropagationError("sample times must lie inside [0, t_final]")
-    schedule = sample_steps(sample_times, dt)
+    if sample_times and not t0 <= sample_times[0] <= sample_times[-1] \
+            <= t_final + 1e-12:
+        raise PropagationError(
+            f"sample times must lie inside [{t0:g}, t_final]")
+    schedule = sample_steps(sample_times, dt, t0)
     report = EvolutionReport()
     check_normalized(psi0)
     g = psi0.grid
@@ -359,18 +364,16 @@ def cross_validate(psi0: Wavefunction, potential: Potential, t_final: float,
     psi_a = psi0
     w_b = wigner_transform(psi0)
     z_c = to_characteristic(w_b)
-    t = 0.0
     flags: list = []
     for steps in schedule:
         psi_a = propagate_schrodinger(psi_a, potential, dt, steps, flags)
         w_b = propagate_moyal_exact(w_b, potential, dt, steps, flags)
         z_c = propagate_characteristic(z_c, potential, dt, steps, flags)
-        t += steps * dt
 
         w_a = wigner_transform(psi_a)
         psi_c, residual = factorize_characteristic(z_c)
         w_c = wigner_transform(psi_c)
-        report.times.append(t)
+        report.times.append(psi_a.t)
         report.pair_l2["ab"].append(_l2(w_a.values, w_b.values, g))
         report.pair_l2["ac"].append(_l2(w_a.values, w_c.values, g))
         report.pair_l2["bc"].append(_l2(w_b.values, w_c.values, g))
@@ -382,3 +385,65 @@ def cross_validate(psi0: Wavefunction, potential: Potential, t_final: float,
         report.factorization_residual.append(residual)
     report.boundary_flagged = bool(flags)
     return report
+
+
+def _rk4_orbit(x: float, p: float, potential: Potential, dt: float,
+               schedule, mass: float, t: float) -> list:
+    """Rows (t, x, p) after each leg of a schedule of step counts that
+    starts at t: RK4 for dx/dt = p/m, dp/dt = -V'(x)."""
+    def rhs(x, p):
+        return p / mass, -potential.derivative(x, 1)
+
+    rows = []
+    for steps in schedule:
+        for _ in range(steps):
+            k1x, k1p = rhs(x, p)
+            k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
+            k3x, k3p = rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
+            k4x, k4p = rhs(x + dt * k3x, p + dt * k3p)
+            x += dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+            p += dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        t += steps * dt
+        rows.append((t, x, p))
+    return rows
+
+
+def classical_trajectory(x0: float, p0: float, potential: Potential,
+                         t_grid, dt: float, mass: float = 1.0):
+    """RK4 integration of dx/dt = p/m, dp/dt = -V'(x) from t = 0.
+
+    Returns an array of rows (t, x, p) at the requested times, which
+    must be (near-)multiples of dt.
+    """
+    if dt <= 0:
+        raise StateError(f"dt must be positive, got {dt}")
+    schedule = sample_steps([float(t) for t in t_grid], dt)
+    return np.array(_rk4_orbit(float(x0), float(p0), potential, dt,
+                               schedule, mass, 0.0))
+
+
+def ehrenfest_track(psi0: Wavefunction, potential: Potential, t_grid,
+                    dt: float):
+    """Quantum means along a Schrodinger evolution next to the classical
+    trajectory launched from (<x>, <p>) at psi0.t.
+
+    Returns rows (t, <x>, <p>, <F(x)>, F(<x>), classical_x, classical_p).
+    The gap between <F(x)> and F(<x>) exposes how far the packet is from
+    the single-orbit picture; it vanishes identically for quadratic V.
+    """
+    g = psi0.grid
+    schedule = sample_steps(t_grid, dt, psi0.t)
+    orbit = _rk4_orbit(expectation_operator(psi0, "x"),
+                       expectation_operator(psi0, "p"), potential, dt,
+                       schedule, g.mass, psi0.t)
+    rows = []
+    psi = psi0
+    for steps, (_, x_cl, p_cl) in zip(schedule, orbit):
+        psi = propagate_schrodinger(psi, potential, dt, steps)
+        density = np.abs(psi.samples) ** 2
+        mean_x = float(np.sum(g.x * density) * g.dx)
+        mean_p = expectation_operator(psi, "p")
+        mean_force = float(np.sum(potential.force(g.x) * density) * g.dx)
+        rows.append((psi.t, mean_x, mean_p, mean_force,
+                     float(potential.force(mean_x)), x_cl, p_cl))
+    return np.array(rows)

@@ -1,6 +1,5 @@
 """Expectation values by the operator route and the phase-space route,
-uncertainty/blob reports, purity, negativity, and Ehrenfest tracking
-against a classical RK4 oracle.
+uncertainty/blob reports, purity and negativity: functions of one state.
 
 Mixed x*p monomials use the Weyl (symmetric) correspondence on the
 operator side, which is the unique ordering that makes the two routes
@@ -18,7 +17,7 @@ from .wigner import WignerFunction, purity  # purity: kept importable here
 
 __all__ = [
     "MomentReport", "expectation_operator", "expectation_phase_space",
-    "moments", "negativity", "ehrenfest_track", "classical_trajectory",
+    "moments", "negativity",
 ]
 
 MAX_POLY_DEGREE = 4
@@ -87,9 +86,7 @@ def expectation_phase_space(w: WignerFunction, poly: dict) -> float:
     poly maps exponent pairs (i, j) to coefficients; total degree is
     capped at 4 (higher moments amplify grid-edge noise).
     """
-    total = w.total()
-    if abs(total - 1.0) > 1e-6:
-        raise StateError(f"Wigner field not normalized: integral = {total!r}")
+    w.check_normalized()
     g = w.grid
     acc = 0.0
     for (i, j), coeff in poly.items():
@@ -134,70 +131,3 @@ def negativity(w: WignerFunction) -> tuple[float, float]:
     min_value = float(w.values.min())
     neg_volume = float(np.sum(np.abs(w.values)) * g.dx * g.dp - w.total())
     return min_value, neg_volume
-
-
-def _rk4_orbit(x: float, p: float, potential: Potential, dt: float,
-               schedule, mass: float, t: float) -> list:
-    """Rows (t, x, p) after each leg of a schedule of step counts that
-    starts at t: RK4 for dx/dt = p/m, dp/dt = -V'(x)."""
-    def rhs(x, p):
-        return p / mass, -potential.derivative(x, 1)
-
-    rows = []
-    for steps in schedule:
-        for _ in range(steps):
-            k1x, k1p = rhs(x, p)
-            k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
-            k3x, k3p = rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
-            k4x, k4p = rhs(x + dt * k3x, p + dt * k3p)
-            x += dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-            p += dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        t += steps * dt
-        rows.append((t, x, p))
-    return rows
-
-
-def classical_trajectory(x0: float, p0: float, potential: Potential,
-                         t_grid, dt: float, mass: float = 1.0):
-    """RK4 integration of dx/dt = p/m, dp/dt = -V'(x) from t = 0.
-
-    Returns an array of rows (t, x, p) at the requested times, which
-    must be (near-)multiples of dt.
-    """
-    from .dynamics import sample_steps  # local import: cycle break
-
-    if dt <= 0:
-        raise StateError(f"dt must be positive, got {dt}")
-    schedule = sample_steps([float(t) for t in t_grid], dt)
-    return np.array(_rk4_orbit(float(x0), float(p0), potential, dt,
-                               schedule, mass, 0.0))
-
-
-def ehrenfest_track(psi0: Wavefunction, potential: Potential, t_grid,
-                    dt: float):
-    """Quantum means along a Schrodinger evolution next to the classical
-    trajectory launched from (<x>, <p>) at psi0.t.
-
-    Returns rows (t, <x>, <p>, <F(x)>, F(<x>), classical_x, classical_p).
-    The gap between <F(x)> and F(<x>) exposes how far the packet is from
-    the single-orbit picture; it vanishes identically for quadratic V.
-    """
-    from .dynamics import propagate_schrodinger, sample_steps  # cycle break
-
-    g = psi0.grid
-    schedule = sample_steps(t_grid, dt, psi0.t)
-    orbit = _rk4_orbit(expectation_operator(psi0, "x"),
-                       expectation_operator(psi0, "p"), potential, dt,
-                       schedule, g.mass, psi0.t)
-    rows = []
-    psi = psi0
-    for steps, (_, x_cl, p_cl) in zip(schedule, orbit):
-        psi = propagate_schrodinger(psi, potential, dt, steps)
-        density = np.abs(psi.samples) ** 2
-        mean_x = float(np.sum(g.x * density) * g.dx)
-        mean_p = expectation_operator(psi, "p")
-        mean_force = float(np.sum(potential.force(g.x) * density) * g.dx)
-        force_at_mean = float(potential.force(mean_x))
-        rows.append((psi.t, mean_x, mean_p, mean_force, force_at_mean,
-                     x_cl, p_cl))
-    return np.array(rows)

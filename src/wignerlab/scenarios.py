@@ -23,12 +23,13 @@ import numpy as np
 import yaml
 
 from . import io as wio
-from .dynamics import (boundary_mass, cross_validate, propagate_characteristic,
-                       propagate_moyal_exact, propagate_moyal_truncated,
-                       propagate_schrodinger, sample_steps)
+from .dynamics import (boundary_mass, cross_validate, ehrenfest_track,
+                       propagate_characteristic, propagate_moyal_exact,
+                       propagate_moyal_truncated, propagate_schrodinger,
+                       sample_steps)
 from .errors import ConfigError
 from .grid import make_grid, square_grid
-from .observables import ehrenfest_track, moments, negativity, purity
+from .observables import moments, negativity, purity
 from .potentials import (double_well, free_particle, harmonic, polynomial,
                          quartic)
 from .states import (cat_state, gaussian_packet, harmonic_eigenstate, norm,
@@ -181,7 +182,11 @@ def _parse_config(doc: dict, default_name: str) -> ScenarioConfig:
     build, values = _section("scenario", {"name": default_name, **doc})
     config = build(**values)
     # check and build every section now, so a bad config fails on load
-    _section("experiment", config.experiment)
+    experiment = config.experiment
+    _section("experiment", experiment)
+    if "n_max" in experiment and experiment["route"] != "truncated":
+        raise ConfigError("experiment.n_max: only the truncated route takes "
+                          f"n_max, not route {experiment['route']!r}")
     _build(config)
     return config
 
@@ -276,8 +281,6 @@ BUILTIN_SCENARIOS = {
                        "t_grid": [0.0, 0.5, 1.0, 1.5, 2.0]},
     },
 }
-
-
 
 
 def builtin_config(name: str) -> ScenarioConfig:

@@ -33,6 +33,7 @@ from .wigner import WignerFunction
 __all__ = ["Tomogram", "forward_tomogram", "inverse_tomogram"]
 
 CLIP_FLOOR = -1e-5
+FAN_TOL = 1e-9       # allowed departure of a frame angle from i pi/n_frames
 ROLLOFF_START = 0.8  # raised-cosine roll-off begins at this Nyquist fraction
 
 # Gridding in both directions: fine-grid points covered by the kernel
@@ -130,9 +131,7 @@ def forward_tomogram(w: WignerFunction, angles) -> Tomogram:
             raise TomographyError(f"angle {t} outside [0, pi)")
     g = w.grid
     _require_square(g)
-    total = w.total()
-    if abs(total - 1.0) > 1e-6:
-        raise TomographyError(f"Wigner field not normalized: {total!r}")
+    w.check_normalized()
 
     n, dx, dp = g.n, g.dx, g.dp
     m, step, keep, kernel_hat, offset = _fine_grid(g)
@@ -188,12 +187,14 @@ def inverse_tomogram(tomo: Tomogram, target_grid: PhaseGrid,
                      pad_factor: int = 4) -> WignerFunction:
     """Filtered back-projection of a tomogram onto a phase-space grid.
 
-    Each projection is ramp-filtered in its quadrature frequency; the
-    back-projection  sum_k c_k exp(-i k (x mu + p nu))  is evaluated on
-    the lattice by gridding (a type-1 non-uniform FFT).  Only k >= 0 is
-    spread, with c_k + conj(c_-k), since the output is real; the grid
-    offset of the target is folded into the coefficients.  Each frame is
-    spread onto a 2n x 2n periodic grid with a 14-point exponential of
+    Each frame is weighted by pi/n_frames, so the frame angles must be
+    i pi/n_frames.  Each projection is ramp-filtered in its quadrature
+    frequency; the back-projection  sum_k c_k exp(-i k (x mu + p nu))  is
+    evaluated on the lattice by gridding (a type-1 non-uniform FFT).  The
+    profile is real and the filter even, so c_-k = conj(c_k): only k >= 0
+    is spread, from a real FFT, with 2 c_k for k > 0; the grid offset of
+    the target is folded into the coefficients.  Each frame is spread
+    onto a 2n x 2n periodic grid with a 14-point exponential of
     semicircle kernel, the grid is transformed along x and then along p,
     keeping the n modes needed each time, and the kernel's Fourier
     transform is divided out.  The result agrees with the exact
@@ -209,45 +210,37 @@ def inverse_tomogram(tomo: Tomogram, target_grid: PhaseGrid,
     n_frames = len(tomo.frames)
     if n_frames < 2:
         raise TomographyError(f"need at least 2 frames, got {n_frames}")
+    angles = np.sort([np.arctan2(nu, mu) for mu, nu in tomo.frames])
+    if not np.all(np.abs(angles - np.arange(n_frames) * np.pi / n_frames)
+                  <= FAN_TOL):
+        raise TomographyError(f"frame angles must be the equispaced fan "
+                              f"i*pi/{n_frames}, i = 0..{n_frames - 1}")
     if n_frames < 32:
         warnings.warn(
             f"only {n_frames} frames: reconstruction will be qualitative "
-            "(>= 32 approximately equispaced angles recommended)",
-            stacklevel=2)
+            "(>= 32 equispaced angles recommended)", stacklevel=2)
     _require_square(target_grid)
 
     x_axis = tomo.x_axis
     d_x = tomo.dx
     n_pad = pad_factor * len(x_axis)
     dk = 2.0 * np.pi / (n_pad * d_x)
-    k = dk * (np.arange(n_pad) - n_pad // 2)  # monotonic frequency axis
-    filt = _ramp_filter(k, dk, np.pi / d_x)
+    k = dk * np.arange((n_pad + 1) // 2)  # Nyquist has zero filter weight
     dtheta = np.pi / n_frames
-
-    # hat_w(k_j) = dX * sum_m w_m exp(+i k_j X_m) with k_j monotonic;
-    # the (-1)^m factor recenters the frequency axis
-    signs = np.where(np.arange(n_pad) % 2 == 0, 1.0, -1.0)
-    shift = d_x * np.exp(1j * k * x_axis[0]) * n_pad
-    zero = n_pad // 2
-    k_half = k[zero:]
+    # hat_w(k) = dX sum_m w_m exp(+i k X_m) = dX exp(i k X_0) conj(rfft)
+    gain = (_ramp_filter(k, dk, np.pi / d_x) * np.where(k > 0, 2.0, 1.0)
+            * d_x * np.exp(1j * k * x_axis[0])
+            * (dk * dtheta / (4.0 * np.pi ** 2)))
 
     n, dx, dp = target_grid.n, target_grid.dx, target_grid.dp
     m, step, keep, kernel_hat, offset = _fine_grid(target_grid)
     acc = np.zeros((m, m), dtype=complex)
     flat = acc.reshape(-1)
-    padded = np.zeros(n_pad)
     for (mu, nu), density in zip(tomo.frames, tomo.values):
-        padded[:len(x_axis)] = density
-        coeff = filt * (shift * np.fft.ifft(padded * signs)) \
-            * (dk * dtheta / (4.0 * np.pi ** 2))
-        # Re sum_k c_k e^{-ik.} = Re sum_{k>=0} (c_k + conj(c_-k)) e^{-ik.};
-        # the -Nyquist bin, if n_pad is even, has zero filter weight
-        c = coeff[zero:].copy()
-        mirror = np.conj(coeff[zero - 1::-1])[:len(c) - 1]
-        c[1:1 + len(mirror)] += mirror
-        c *= np.exp(-1j * k_half * mu * offset)
-        ix, wx = _spread_axis(k_half * (mu * dx / step), m)
-        ip, wp = _spread_axis(k_half * (nu * dp / step), m)
+        c = gain * np.conj(np.fft.rfft(density, n_pad)[:len(k)]) \
+            * np.exp(-1j * k * mu * offset)
+        ix, wx = _spread_axis(k * (mu * dx / step), m)
+        ip, wp = _spread_axis(k * (nu * dp / step), m)
         np.add.at(flat, (ix[:, :, None] * m + ip[:, None, :]).ravel(),
                   ((c[:, None] * wx)[:, :, None] * wp[:, None, :]).ravel())
 

@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 IMAG_RESIDUE_TOL = 1e-12
+W_NORM_TOL = 1e-6     # allowed |1 - integral W dx dp| of a normalized field
 PURITY_GATE = 0.999
-ANCHOR_FLOOR = 1e-6
 FACTORIZE_MAX_ITER = 10000   # power-iteration cap
 FACTORIZE_RTOL = 1e-12       # relative eigenvalue change that ends it
 
@@ -88,6 +88,13 @@ class WignerFunction:
     def total(self) -> float:
         """Discrete double integral of W."""
         return float(np.sum(self.values) * self.grid.dx * self.grid.dp)
+
+    def check_normalized(self) -> None:
+        """StateError unless the field integrates to 1 within W_NORM_TOL."""
+        total = self.total()
+        if not abs(total - 1.0) <= W_NORM_TOL:   # NaN too
+            raise StateError(
+                f"Wigner field not normalized: integral = {total!r}")
 
 
 @dataclass(frozen=True)
@@ -191,9 +198,7 @@ def to_characteristic(w: WignerFunction) -> CharacteristicZ:
 
 def purity(w: WignerFunction) -> float:
     """2 pi hbar * integral W^2; 1 for pure states, < 1 for mixtures."""
-    total = w.total()
-    if abs(total - 1.0) > 1e-6:
-        raise StateError(f"Wigner field not normalized: integral = {total!r}")
+    w.check_normalized()
     g = w.grid
     return float(2.0 * np.pi * g.hbar * np.sum(w.values ** 2) * g.dx * g.dp)
 
@@ -201,29 +206,15 @@ def purity(w: WignerFunction) -> float:
 def reconstruct_wavefunction(w: WignerFunction) -> Wavefunction:
     """Recover the pure state underlying a Wigner field.
 
-    Uses psi(x) conj(psi(x_a)) = integral W((x + x_a)/2, p)
-    exp(i p (x - x_a)/hbar) dp with the anchor x_a at the maximum of the
-    position marginal (the x_a = 0 choice fails for odd-parity states).
-    Output normalized, with psi(x_a) real and positive.
+    psi is the dominant eigenfunction of the rank-1 characteristic kernel
+    psi(y) conj(psi(y')) (factorize_characteristic): normalized, and real
+    and positive at its amplitude maximum.  PurityError below the gate.
     """
     pur = purity(w)
     if pur < PURITY_GATE:
         raise PurityError(f"purity {pur:.6f} below gate {PURITY_GATE}; "
                           "field is not a pure state")
-    density = marginal_position(w)
-    anchor = int(np.argmax(density))
-    if density[anchor] < ANCHOR_FLOOR:
-        raise NormalizationError(
-            f"marginal maximum {density[anchor]:.3e} below {ANCHOR_FLOOR}; "
-            "numerically empty state")
-    z = to_characteristic(w)
-    column = z.values[:, anchor]
-    pivot = column[anchor].real
-    if pivot <= 0:
-        raise NormalizationError("anchor amplitude is not positive")
-    psi = column / np.sqrt(pivot)
-    psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * w.grid.dx)
-    return Wavefunction(w.grid, psi, w.t)
+    return factorize_characteristic(to_characteristic(w))[0]
 
 
 def factorize_characteristic(z: CharacteristicZ):
@@ -237,9 +228,8 @@ def factorize_characteristic(z: CharacteristicZ):
     dx = g.dx
     mat = z.values * dx
     trace = float(np.trace(z.values).real) * dx
-    diag = np.abs(z.values.diagonal())
-    start = int(np.argmax(diag))
-    v = z.values[:, start].astype(complex)
+    # start from the column through the largest diagonal entry
+    v = z.values[:, np.argmax(np.abs(z.values.diagonal()))].astype(complex)
     vnorm = np.linalg.norm(v)
     if vnorm == 0.0 or trace == 0.0:
         raise ConvergenceError("kernel is numerically zero")

@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 import re
@@ -282,6 +283,7 @@ def test_evolve_rejects_non_numeric_sample_times(tmp_path, capsys):
     ("bogus", 0.01, 0.02, "", "experiment.route"),
     ("truncated", 0.01, 0.02, "  n_max: -1\n", "experiment.n_max"),
     ("truncated", 0.01, 0.02, "  n_max: 1.5\n", "experiment.n_max"),
+    ("moyal", 0.01, 0.02, "  n_max: 7\n", "experiment.n_max"),
     ("moyal", 0.0, 0.02, "", "experiment.dt"),
     ("moyal", -0.01, 0.02, "", "experiment.dt"),
     ("moyal", 0.01, "later", "", "experiment.t_final"),
@@ -305,3 +307,52 @@ def test_bad_tomo_angle_count_fails_before_output(tmp_path):
                                        "kind: tomo\n  n_angles: 1"))
     with pytest.raises(ConfigError, match="experiment.n_angles"):
         load_config(path)
+
+
+def run_quick(tmp_path, old, new):
+    """CLI exit code and output directory of QUICK_YAML with old -> new."""
+    path = tmp_path / "variant.yaml"
+    path.write_text(QUICK_YAML.replace(old, new))
+    out = tmp_path / "o"
+    return main(["run", str(path), "--output", str(out)]), out
+
+
+def test_moments_routes_agree(tmp_path):
+    code, out = run_quick(tmp_path, "kind: wigner", "kind: moments")
+    assert code == 0
+    metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+    assert metrics["route_gap"] < 1e-8   # criterion 5's bound
+    with open(out / "moments.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["moment", "operator_route", "phase_space_route"]
+    # the manifest sorts its keys; the table keeps the report's order
+    assert sorted(row[0] for row in rows[1:]) == list(metrics["operator"])
+    for name, operator_route, phase_space_route in rows[1:]:
+        assert float(operator_route) == metrics["operator"][name]
+        assert float(phase_space_route) == metrics["phase_space"][name]
+
+
+def test_superposition_of_gaussians_runs(tmp_path):
+    code, out = run_quick(
+        tmp_path, "  kind: cat\n  x0: 3.0\n  sigma: 0.7071067811865476\n",
+        "  kind: superposition\n"
+        "  components:\n"
+        "    - {kind: gaussian, x0: -2.0}\n"
+        "    - {kind: gaussian, x0: 2.0, p0: 1.0}\n"
+        "  coefficients: [1.0, [0.0, 1.0]]\n")
+    assert code == 0
+    metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+    assert metrics["total"] == pytest.approx(1.0, abs=1e-9)
+    assert metrics["purity"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_evolve_characteristic_writes_the_kernel(tmp_path):
+    config = write_evolve(tmp_path, "kernel", "characteristic", 0.01, 0.05)
+    out = tmp_path / "o"
+    assert main(["run", str(config), "--output", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["final.wig1"]
+    assert manifest["metrics"]["hermiticity_defect"] < 1e-10
+    values, meta = read_field(out / "final.wig1")
+    assert np.iscomplexobj(values) and values.shape == (128, 128)
+    assert meta["time"] == manifest["metrics"]["final_time"]

@@ -58,6 +58,10 @@ def assert_config_error_before_output(tmp_path, capsys, doc, message):
     (dict(doc_with(), formats=["pdf"]), "formats"),
     (dict(doc_with(), name=""), "name"),
     (dict(doc_with(), grid=[["n", 64]]), "grid: expected a mapping"),
+    # a square grid fixes its own extent; any other needs both bounds
+    (doc_with(grid={"n": 64, "square": True, "x_min": -5.0}),
+     "square grids fix their own extent"),
+    (doc_with(grid={"n": 64, "x_min": -8.0}), "give x_min and x_max"),
 ])
 def test_misplaced_keys_rejected(tmp_path, capsys, doc, message):
     assert_config_error_before_output(tmp_path, capsys, doc, message)

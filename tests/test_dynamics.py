@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from wignerlab import (CharacteristicZ, MonitorError, PropagationError,
-                       WignerFunction, cat_state, cross_validate, double_well,
+                       Wavefunction, WignerFunction, cat_state,
+                       cross_validate, double_well,
                        free_particle, gaussian_packet, harmonic, make_grid,
                        propagate_characteristic, propagate_moyal_exact,
                        propagate_moyal_truncated, propagate_schrodinger,
@@ -242,6 +243,18 @@ def test_cross_validate_rejects_incommensurate_samples(grid256):
     psi = gaussian_packet(grid256, 1.0, 0.0, SQRT_HALF)
     with pytest.raises(PropagationError):
         cross_validate(psi, harmonic(1.0), 1.0, 1e-3, [0.00055])
+
+
+def test_cross_validate_schedules_from_the_start_time():
+    """A packet at t = 1.0 cannot be sampled at t = 0.5, and its report
+    carries the times the routes reached."""
+    g = make_grid(64, -8.0, 8.0)
+    psi = gaussian_packet(g, 1.0, 0.0, SQRT_HALF)
+    late = Wavefunction(g, psi.samples, 1.0)
+    with pytest.raises(PropagationError, match=r"inside \[1, t_final\]"):
+        cross_validate(late, harmonic(1.0), 1.5, 0.25, [0.5])
+    report = cross_validate(late, harmonic(1.0), 1.5, 0.25, [1.5])
+    assert report.times == [1.5]
 
 
 def test_sample_steps_from_a_start_time():

@@ -24,8 +24,10 @@ def rel_l2(a, b, g):
 
 def dense_inverse(tomo, target_grid, pad_factor=4):
     """Filtered back-projection by direct Fourier synthesis: every
-    filtered projection summed exactly at X = x mu + p nu on the lattice
-    (two n x n_pad exponential tables and a matrix product a frame)."""
+    projection's spectrum dX sum_m w_m exp(i k X_m) summed exactly at
+    the n_pad frequencies, filtered, and summed exactly at
+    X = x mu + p nu on the lattice (exponential tables and matrix
+    products throughout)."""
     x_axis = tomo.x_axis
     d_x = tomo.dx
     n_pad = pad_factor * len(x_axis)
@@ -33,15 +35,12 @@ def dense_inverse(tomo, target_grid, pad_factor=4):
     k = dk * (np.arange(n_pad) - n_pad // 2)
     filt = _ramp_filter(k, dk, np.pi / d_x)
     dtheta = np.pi / len(tomo.frames)
-    signs = np.where(np.arange(n_pad) % 2 == 0, 1.0, -1.0)
+    spectrum = d_x * np.exp(1j * np.outer(k, x_axis))
+    weight = filt * (dk * dtheta / (4.0 * np.pi ** 2))
     gx, gp = target_grid.x, target_grid.p
     out = np.zeros((target_grid.n, target_grid.n))
     for (mu, nu), density in zip(tomo.frames, tomo.values):
-        padded = np.zeros(n_pad)
-        padded[:len(x_axis)] = density
-        spec = d_x * np.exp(1j * k * x_axis[0]) \
-            * n_pad * np.fft.ifft(padded * signs)
-        coeff = filt * spec * (dk * dtheta / (4.0 * np.pi ** 2))
+        coeff = weight * (spectrum @ density)
         ex = np.exp(-1j * np.outer(gx * mu, k))
         ep = np.exp(-1j * np.outer(k, gp * nu))
         out += np.real((ex * coeff[None, :]) @ ep)
@@ -175,6 +174,15 @@ def test_gridding_matches_dense_synthesis_on_other_grid(oracle_tomograms, n):
     assert np.max(np.abs(rec.values - dense_inverse(tomo, target))) <= 1e-10
 
 
+def test_gridding_matches_dense_synthesis_at_odd_padding():
+    """An odd tomogram length at pad_factor 3 pads to an odd length,
+    where no (-1)^m factor recentres the frequency axis."""
+    g = square_grid(97)
+    tomo = forward_tomogram(gaussian_wigner(g, 1.0, -0.5, 1.0), full_fan(90))
+    rec = inverse_tomogram(tomo, g, 3)
+    assert np.max(np.abs(rec.values - dense_inverse(tomo, g, 3))) <= 1e-10
+
+
 def test_projections_match_closed_form_gaussian_marginals(sq128):
     for x0, p0, sigma in ((1.0, -0.5, 1.0), (-2.0, 1.5, 0.8)):
         w = wigner_transform(gaussian_packet(sq128, x0, p0, sigma))
@@ -259,6 +267,18 @@ def test_inverse_requires_two_frames(sq128):
     w = wigner_transform(gaussian_packet(sq128, 0.0, 0.0, 1.0))
     with pytest.raises(TomographyError):
         inverse_tomogram(forward_tomogram(w, [0.3]), sq128)
+
+
+@pytest.mark.parametrize("angles", [
+    np.linspace(0.0, np.pi / 2, N_ANGLES, endpoint=False),
+    np.sort(np.random.default_rng(0).uniform(0.0, np.pi, N_ANGLES)),
+], ids=["quarter-turn", "random"])
+def test_inverse_rejects_fans_that_are_not_equispaced(sq128, angles):
+    """Every frame is weighted by pi/n_frames, so any other fan would
+    give a wrong reconstruction."""
+    w = wigner_transform(cat_state(sq128, 3.0, SQRT_HALF))
+    with pytest.raises(TomographyError, match="equispaced fan"):
+        inverse_tomogram(forward_tomogram(w, angles), sq128)
 
 
 def test_sparse_fan_warns(sq128):

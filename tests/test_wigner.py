@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wignerlab import (CharacteristicZ, ConvergenceError, NormalizationError,
-                       PurityError, WignerFunction, Wavefunction, cat_state,
-                       factorize_characteristic, gaussian_packet,
-                       harmonic_eigenstate, make_grid, marginal_momentum,
-                       marginal_position, momentum_samples,
-                       reconstruct_wavefunction, to_characteristic,
-                       wigner_transform)
+                       PurityError, StateError, WignerFunction, Wavefunction,
+                       cat_state, expectation_phase_space,
+                       factorize_characteristic, forward_tomogram,
+                       gaussian_packet, harmonic_eigenstate, make_grid,
+                       marginal_momentum, marginal_position, momentum_samples,
+                       reconstruct_wavefunction, square_grid,
+                       to_characteristic, wigner_transform)
 from wignerlab.observables import purity
 
 from conftest import (SQRT_HALF, fidelity, gaussian_psi, gaussian_wigner,
@@ -117,8 +118,9 @@ def test_roundtrip_fidelity_battery(battery256):
 
 
 def test_reconstruction_handles_odd_parity(grid256):
-    """The level-1 eigenstate vanishes at x = 0, so a fixed anchor there
-    would fail; the marginal-maximum anchor must still recover it."""
+    """The level-1 eigenstate vanishes at x = 0, so a phase anchored
+    there would fail; the amplitude-maximum anchor must still recover
+    it."""
     psi = harmonic_eigenstate(grid256, 1, 1.0)
     rec = reconstruct_wavefunction(wigner_transform(psi))
     assert fidelity(rec, psi) >= 1.0 - 1e-8
@@ -128,7 +130,8 @@ def test_reconstruction_phase_convention(grid256):
     psi = gaussian_packet(grid256, 1.0, 1.0, 1.0)
     w = wigner_transform(psi)
     rec = reconstruct_wavefunction(w)
-    anchor = int(np.argmax(marginal_position(w)))
+    anchor = int(np.argmax(np.abs(rec.samples)))
+    assert anchor == int(np.argmax(marginal_position(w)))
     assert rec.samples[anchor].imag == pytest.approx(0.0, abs=1e-12)
     assert rec.samples[anchor].real > 0
 
@@ -149,6 +152,17 @@ def test_purity_values(grid256, battery256):
         assert purity(wigner_transform(psi)) == pytest.approx(
             1.0, abs=1e-6), name
     assert purity(_mixture(grid256)) == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("measure", [
+    purity,
+    lambda w: expectation_phase_space(w, {(1, 0): 1.0}),
+    lambda w: forward_tomogram(w, [0.0]),
+], ids=["purity", "expectation_phase_space", "forward_tomogram"])
+def test_nan_field_fails_the_unit_mass_check(measure):
+    g = square_grid(32)
+    with pytest.raises(StateError, match="not normalized"):
+        measure(WignerFunction(g, np.full((32, 32), np.nan)))
 
 
 def test_characteristic_is_rank_one_kernel(grid256):

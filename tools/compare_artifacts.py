@@ -9,14 +9,21 @@ subprocess, which imports wignerlab from that tree's src/ only.  The
 bench configs are the working tree's; the built-ins are each tree's own.
 
 Prints one line per scenario: the number of byte-identical files, then
-each file that differs or exists on one side only.  A differing WIG1
-field also gets the max-abs difference of its payload, read by the
-layout documented in wignerlab/io.py.  timing.json holds wall-clock
-times and is not compared.  Exits 1 if any file differs or any scenario
-fails on either side.
+each file that differs or exists on one side only, with the max-abs
+difference of its numbers where they pair up:
+  - WIG1 fields: the payload, read by the layout documented in
+    wignerlab/io.py;
+  - JSON files: the numeric leaves at matching key paths, naming every
+    key path found on one side only and every leaf that differs;
+  - CSV files of equal shape: the cells that parse as numbers on both
+    sides, counting the other cells that differ.
+timing.json holds wall-clock times and is not compared.  Exits 1 if any
+file differs or any scenario fails on either side.
 """
 
 import argparse
+import csv
+import json
 import struct
 import subprocess
 import sys
@@ -74,18 +81,97 @@ def read_payload(path: Path) -> np.ndarray:
     return np.frombuffer(blob, dtype, offset=24 + 8 * rank + 48).reshape(dims)
 
 
+def abs_diff(a, b) -> np.ndarray:
+    """|a - b| elementwise, 0 where the values are equal (NaN on both
+    sides included)."""
+    a, b = np.asarray(a), np.asarray(b)
+    diff = np.abs(a - b)
+    diff[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
+    return diff
+
+
+def json_leaves(value, path="") -> dict:
+    """{key path: leaf} of a parsed JSON document; list items are keyed
+    by their index."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        leaves = {}
+        for key, item in items:
+            leaves.update(json_leaves(item, f"{path}.{key}" if path
+                                      else str(key)))
+        return leaves
+    return {path: value}
+
+
+def csv_value(cell: str):
+    """A CSV cell as a float if it reads as one, else its text."""
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def differs(a, b) -> bool:
+    """a != b, except that NaN on both sides is no difference."""
+    return a != b and not (a != a and b != b)
+
+
+def both_numbers(a, b) -> bool:
+    return isinstance(a, float) and isinstance(b, float)
+
+
+def numeric_diff(pairs, what: str) -> str:
+    """How many of the pairs of two numbers differ, and by how much."""
+    numeric = [pair for pair in pairs if both_numbers(*pair)]
+    diff = abs_diff(*zip(*numeric)) if numeric else np.zeros(0)
+    return (f"bytes differ, {np.count_nonzero(diff)} of {diff.size} numeric "
+            f"{what} differ, max |diff| {diff.max(initial=0.0):.3e}")
+
+
+def compare_json(base: Path, work: Path) -> str:
+    # every JSON number becomes a float; true and false stay bool
+    a, b = (json_leaves(json.loads(path.read_text(), parse_int=float))
+            for path in (base, work))
+    common = sorted(a.keys() & b.keys())
+    parts = [numeric_diff([(a[key], b[key]) for key in common], "leaves")]
+    for label, keys in (
+            ("only in base", sorted(a.keys() - b.keys())),
+            ("only in the working tree", sorted(b.keys() - a.keys())),
+            ("differ at", [key for key in common
+                           if differs(a[key], b[key])])):
+        if keys:
+            parts.append(f"{label}: {', '.join(keys)}")
+    return "; ".join(parts)
+
+
+def compare_csv(base: Path, work: Path) -> str:
+    a, b = (list(csv.reader(path.read_text().splitlines()))
+            for path in (base, work))
+    if [len(row) for row in a] != [len(row) for row in b]:
+        return f"bytes differ, shape differs ({len(a)} -> {len(b)} rows)"
+    cells = [(csv_value(x), csv_value(y))
+             for rows in zip(a, b) for x, y in zip(*rows)]
+    other = sum(x != y for x, y in cells if not both_numbers(x, y))
+    return (numeric_diff(cells, "cells")
+            + (f"; {other} other cells differ" if other else ""))
+
+
 def compare_file(base: Path, work: Path) -> str:
     """'' if the files are byte-identical, else how they differ."""
     if not base.exists() or not work.exists():
         return "only in " + ("the working tree" if work.exists() else "base")
     if base.read_bytes() == work.read_bytes():
         return ""
+    if base.suffix == ".json":
+        return compare_json(base, work)
+    if base.suffix == ".csv":
+        return compare_csv(base, work)
     if base.suffix != ".wig1":
         return "bytes differ"
     a, b = read_payload(base), read_payload(work)
     if a.shape != b.shape:
         return f"shape {a.shape} -> {b.shape}"
-    return f"bytes differ, payload max |diff| {np.max(np.abs(a - b)):.3e}"
+    return f"bytes differ, payload max |diff| {abs_diff(a, b).max():.3e}"
 
 
 def compare(base_out: Path, work_out: Path, base_codes: dict,
