@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .errors import (ConfigError, ConvergenceError, MonitorError,
                      WignerlabError)
-from .scenarios import (BUILTIN_SCENARIOS, builtin_config, list_scenarios,
-                        load_config, run_scenario)
+from .scenarios import (BUILTIN_SCENARIOS, builtin_config, load_config,
+                        run_scenario)
 
 __all__ = ["main"]
 
@@ -74,10 +74,9 @@ def _command_run(args) -> int:
 
 
 def _command_list() -> int:
-    rows = list_scenarios()
-    width = max(len(name) for name, _ in rows)
-    for name, description in rows:
-        print(f"{name:<{width}}  {description}")
+    width = max(map(len, BUILTIN_SCENARIOS))
+    for name, entry in sorted(BUILTIN_SCENARIOS.items()):
+        print(f"{name:<{width}}  {entry['description']}")
     return EXIT_OK
 
 

@@ -16,12 +16,12 @@ correction; n_max = 0 is the classical Liouville equation.  Ehrenfest
 tracking runs route (a) beside a classical RK4 orbit.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
 
-from .errors import MonitorError, PropagationError, StateError
+from .errors import MonitorError, PropagationError
 from .grid import PhaseGrid
 from .observables import expectation_operator
 from .potentials import Potential
@@ -333,9 +333,6 @@ class EvolutionReport:
         values = [v for series in self.pair_l2.values() for v in series]
         return max(values) if values else 0.0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def _l2(a: np.ndarray, b: np.ndarray, g: PhaseGrid) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2) * g.dx * g.dp))
@@ -415,8 +412,6 @@ def classical_trajectory(x0: float, p0: float, potential: Potential,
     Returns an array of rows (t, x, p) at the requested times, which
     must be (near-)multiples of dt.
     """
-    if dt <= 0:
-        raise StateError(f"dt must be positive, got {dt}")
     schedule = sample_steps([float(t) for t in t_grid], dt)
     return np.array(_rk4_orbit(float(x0), float(p0), potential, dt,
                                schedule, mass, 0.0))

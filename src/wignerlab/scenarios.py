@@ -17,6 +17,7 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .tomography import forward_tomogram, inverse_tomogram
 from .wigner import to_characteristic, wigner_transform
 
 __all__ = ["ScenarioConfig", "load_config", "builtin_config",
-           "list_scenarios", "run_scenario", "BUILTIN_SCENARIOS", "SCHEMA"]
+           "run_scenario", "BUILTIN_SCENARIOS", "SCHEMA"]
 
 FORMATS = ("json", "csv", "binary")
 
@@ -53,9 +54,6 @@ class ScenarioConfig:
     potential: dict
     experiment: dict
     formats: tuple
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 # Value checks: each takes (value, context) and returns the value to use.
@@ -291,12 +289,6 @@ def builtin_config(name: str) -> ScenarioConfig:
                           if k != "description"}, name)
 
 
-def list_scenarios() -> list:
-    """(name, description) rows for every built-in scenario."""
-    return [(name, entry["description"])
-            for name, entry in sorted(BUILTIN_SCENARIOS.items())]
-
-
 # Runners: runner(grid, psi, potential, save, **values) -> (metrics,
 # monitors), where save(format, name, writer, *args) has run_scenario
 # call writer(path, *args) once the runner has returned, if the scenario
@@ -336,30 +328,25 @@ def _run_moments(grid, psi, potential, save):
                               np.abs(psi.samples) ** 2, (0,))
 
 
-# route -> (initial state from psi, propagator); the lambdas look the
-# propagators up by name when called, so a wrapper installed on this
-# module (the benchmark's tracer) sees every call
-ROUTES = {
-    "schrodinger": (lambda psi: psi,
-                    lambda *args, n_max: propagate_schrodinger(*args)),
-    "moyal": (lambda psi: wigner_transform(psi),
-              lambda *args, n_max: propagate_moyal_exact(*args)),
-    "characteristic": (lambda psi: to_characteristic(wigner_transform(psi)),
-                       lambda *args, n_max: propagate_characteristic(*args)),
-    "truncated": (lambda psi: wigner_transform(psi),
-                  lambda w, v, dt, steps, flags, n_max:
-                  propagate_moyal_truncated(w, v, dt, steps, n_max, flags)),
-}
+ROUTES = ("schrodinger", "moyal", "characteristic", "truncated")
 
 
 def _run_evolve(grid, psi, potential, save, route, dt, t_final,
                 sample_times, n_max):
-    initial, propagate = ROUTES[route]
-    state = initial(psi)
+    # named at run time, so the benchmark tracer's wrappers see each call
+    state = psi if route == "schrodinger" else wigner_transform(psi)
+    if route == "schrodinger":
+        propagate = propagate_schrodinger
+    elif route == "moyal":
+        propagate = propagate_moyal_exact
+    elif route == "characteristic":
+        state, propagate = to_characteristic(state), propagate_characteristic
+    else:  # truncated
+        propagate = partial(propagate_moyal_truncated, n_max=n_max)
     flags: list = []
     series = []
     for steps in sample_steps(sample_times or [t_final], dt):
-        state = propagate(state, potential, dt, steps, flags, n_max=n_max)
+        state = propagate(state, potential, dt, steps, boundary_flags=flags)
         if route != "characteristic":
             w = wigner_transform(state) if route == "schrodinger" else state
             report = moments(w).as_dict()
@@ -394,7 +381,7 @@ def _run_validate(grid, psi, potential, save, dt, t_final, sample_times):
     monitors = {"norm_drift": report.norm_drift[-1],
                 "boundary_mass": report.boundary[-1],
                 "boundary_flagged": report.boundary_flagged}
-    save("json", "validation.json", wio.write_json, report.as_dict())
+    save("json", "validation.json", wio.write_json, asdict(report))
     save("csv", "validation.csv", wio.write_csv,
          ("t", "l2_ab", "l2_ac", "l2_bc", "norm_drift", "energy_drift",
           "boundary_mass", "factorization_residual"),
@@ -460,7 +447,7 @@ TYPES = {
     "state.coefficients": _list_of(_amplitude),
     "potential.coefficients": _list_of(_number),
     "experiment.route": _expect(
-        f"a route from {tuple(ROUTES)}",
+        f"a route from {ROUTES}",
         lambda value: isinstance(value, str) and value in ROUTES),
     "experiment.dt": lambda value, context: _positive(
         _number(value, context), context),
@@ -537,7 +524,7 @@ def run_scenario(config: ScenarioConfig, output_dir) -> dict:
     manifest = {
         "scenario": config.name,
         "version": __version__,
-        "config": config.as_dict(),
+        "config": asdict(config),
         "metrics": metrics,
         "monitors": monitors,
         "artifacts": sorted(pending),

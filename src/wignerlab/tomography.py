@@ -1,9 +1,7 @@
 """Quadrature marginals of the Wigner function over rotated phase-space
 frames, and filtered back-projection reconstruction.
 
-Frames are pure rotations (mu, nu) = (cos t, sin t) with mu^2 + nu^2 = 1;
-general scaled frames reduce to rotations by rescaling the quadrature
-axis.
+Frames are pure rotations (mu, nu) = (cos t, sin t) with mu^2 + nu^2 = 1.
 
 By the Fourier-slice theorem the spectrum of the projection at angle t
 is the radial line k (mu, nu) of the 2-D spectrum of W.  The lattice
@@ -60,6 +58,9 @@ class Tomogram:
         if len({(round(m, 12), round(n, 12)) for m, n in self.frames}) \
                 != len(self.frames):
             raise TomographyError("tomogram frames must be pairwise distinct")
+        if any(abs(m * m + n * n - 1.0) > 1e-12 for m, n in self.frames):
+            raise TomographyError("tomogram frames must be unit rotations, "
+                                  "mu^2 + nu^2 = 1")
 
     @property
     def dx(self) -> float:

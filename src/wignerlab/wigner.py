@@ -58,7 +58,7 @@ def upsample2(a: np.ndarray, axis: int = -1) -> np.ndarray:
     a = np.asarray(a)
     n = a.shape[axis]
     if n % 2:
-        raise ValueError("upsample2 requires an even sample count")
+        raise StateError(f"upsample2 needs an even sample count, got n = {n}")
     spec = np.moveaxis(np.fft.fft(a, axis=axis), axis, -1)
     padded = np.zeros(spec.shape[:-1] + (2 * n,), dtype=complex)
     half = n // 2

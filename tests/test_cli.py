@@ -7,11 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wignerlab import ConfigError, __version__
+from wignerlab import (ConfigError, __version__, gaussian_packet, make_grid,
+                       propagate_characteristic, propagate_moyal_exact,
+                       propagate_moyal_truncated, propagate_schrodinger,
+                       quartic, to_characteristic, wigner_transform)
 from wignerlab.cli import main
 from wignerlab.grid import square_grid
 from wignerlab.io import read_field
-from wignerlab.scenarios import load_config, run_scenario
+from wignerlab.scenarios import ROUTES, load_config, run_scenario
 
 QUICK_YAML = """\
 name: quick-cat
@@ -356,3 +359,65 @@ def test_evolve_characteristic_writes_the_kernel(tmp_path):
     values, meta = read_field(out / "final.wig1")
     assert np.iscomplexobj(values) and values.shape == (128, 128)
     assert meta["time"] == manifest["metrics"]["final_time"]
+
+
+# route -> the field its evolve run writes, computed by calling the
+# route's propagator directly on the initial state
+ROUTE_FIELDS = {
+    "schrodinger": lambda psi, *run: wigner_transform(
+        propagate_schrodinger(psi, *run)),
+    "moyal": lambda psi, *run: propagate_moyal_exact(
+        wigner_transform(psi), *run),
+    "characteristic": lambda psi, *run: propagate_characteristic(
+        to_characteristic(wigner_transform(psi)), *run),
+    "truncated": lambda psi, *run: propagate_moyal_truncated(
+        wigner_transform(psi), *run, 0),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_evolve_runs_the_route_propagator(tmp_path, route):
+    """final.wig1 is, bit for bit, the route's propagator applied to the
+    initial state; the truncated route keeps the config's n_max: 0."""
+    config = write_evolve(
+        tmp_path, route, route, 0.01, 0.05, p0=0.0,
+        potential="  kind: quartic\n  lam: 0.1",
+        extra="  n_max: 0\n" if route == "truncated" else "")
+    config.write_text(config.read_text().replace("n: 128", "n: 64")
+                      .replace("8.0", "10.0"))
+    out = tmp_path / "o"
+    assert main(["run", str(config), "--output", str(out)]) == 0
+    written = read_field(out / "final.wig1")[0]
+    psi = gaussian_packet(make_grid(64, -10.0, 10.0), 0.0, 0.0, 1.0)
+    run = (psi, quartic(0.1), 0.01, 5)
+    assert np.array_equal(written, ROUTE_FIELDS[route](*run).values)
+    if route == "truncated":
+        assert not np.array_equal(written, ROUTE_FIELDS["moyal"](*run).values)
+
+
+EXPERIMENTS = {
+    "wigner": "",
+    "moments": "",
+    "evolve": "  route: moyal\n  dt: 0.01\n  t_final: 0.02\n",
+    "validate": "  dt: 0.01\n  t_final: 0.02\n",
+    "tomo": "  n_angles: 4\n",
+    "ehrenfest": "  dt: 0.01\n  t_grid: [0.0, 0.02]\n",
+}
+
+
+@pytest.mark.parametrize("n", [9, 16])
+@pytest.mark.parametrize("kind", EXPERIMENTS)
+def test_every_experiment_ends_in_an_exit_code(tmp_path, capsys, n, kind):
+    """Each experiment on a tiny odd or even grid either runs or exits
+    with a documented code, leaving no output behind; an odd grid used
+    to end the Wigner transform in a ValueError traceback."""
+    path = tmp_path / "tiny.yaml"
+    path.write_text(f"grid: {{n: {n}, square: true}}\n"
+                    f"state: {{kind: gaussian, sigma: 0.7}}\n"
+                    f"experiment:\n  kind: {kind}\n{EXPERIMENTS[kind]}")
+    out = tmp_path / "o"
+    code = main(["run", str(path), "--output", str(out)])
+    assert code in (0, 2, 3, 4)
+    assert out.exists() == (code == 0)
+    if n % 2 and kind != "ehrenfest":
+        assert code == 3 and f"n = {n}" in capsys.readouterr().err

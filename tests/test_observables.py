@@ -153,7 +153,7 @@ def test_classical_trajectory_energy_drift():
 
 
 def test_classical_trajectory_rejects_bad_dt():
-    with pytest.raises(StateError):
+    with pytest.raises(PropagationError, match="nonpositive step"):
         classical_trajectory(0.0, 0.0, harmonic(1.0), [1.0], 0.0)
 
 
