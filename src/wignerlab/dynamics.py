@@ -3,8 +3,8 @@
 Every route is a spectral Strang splitting run by one engine, `_strang`.
 Route (a): split-step evolution of the wavefunction.
 Route (b): exact phase-space evolution of the Wigner field -- kinetic
-           shear solved by FFT over x, potential kick solved exactly in
-           the x' representation with the resummed kernel
+           shear and potential kick solved exactly by real FFTs over x
+           and p, the kick in x' with the resummed kernel
            V(x + x'/2) - V(x - x'/2) (for quadratic V this reduces to
            the classical force term; the quantum series vanishes).
 Route (c): two-coordinate Schrodinger-like evolution of the
@@ -41,7 +41,6 @@ BANDWIDTH_TOL = 1e-8          # spectral mass allowed beyond that band
 NORM_DRIFT_TOL = 1e-9
 BOUNDARY_FLAG = 1e-8
 BOUNDARY_HARD = 1e-4
-REALNESS_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 
 
@@ -98,21 +97,20 @@ def _strang(route: str, values: np.ndarray, t0: float, dt: float,
     a_phase(tau) multiplies forward(state) to apply e^{A tau}; kick
     applies e^{B dt}.  Merging the half steps leaves the state half an A
     step short of t0 + s*dt after step s < steps.  After each step every
-    (quantity, value, threshold) of readings(values, spec, kicked) and
-    the boundary mass must stay within threshold (NaN trips too), else
+    (quantity, value, threshold) of readings(values, spec) and the
+    boundary mass must stay within threshold (NaN trips too), else
     MonitorError; boundary masses above BOUNDARY_FLAG go to flags.
     """
     a_full = a_phase(dt)
     a_half = a_phase(0.5 * dt)
     values = inverse(forward(values) * a_half)
     for step in range(1, steps + 1):
-        kicked = kick(values)
-        spec = forward(kicked)
+        spec = forward(kick(values))
         spec *= a_full if step < steps else a_half
         values = inverse(spec)
         mass = boundary(values)
         for quantity, value, threshold in (
-                *readings(values, spec, kicked),
+                *readings(values, spec),
                 ("boundary mass", mass, BOUNDARY_HARD)):
             if not value <= threshold:
                 raise MonitorError(route, step, t0 + step * dt, quantity,
@@ -141,7 +139,7 @@ def propagate_schrodinger(psi: Wavefunction, potential: Potential,
     pot_full = np.exp(-1j * potential.value(g.x) * dt / g.hbar)
     band = np.abs(p_op) > BANDWIDTH_FRACTION * np.max(np.abs(p_op))
 
-    def readings(samples, spec, kicked):
+    def readings(samples, spec):
         # the kinetic phase leaves |spectrum| unchanged
         power = np.abs(spec) ** 2
         yield (f"spectral mass beyond {BANDWIDTH_FRACTION:.0%} of the "
@@ -173,7 +171,8 @@ def _shear_phase(g: PhaseGrid, tau: float) -> np.ndarray:
 
 def _phase_space_split(route: str, w: WignerFunction, kernel, dt: float,
                        steps: int, flags: list | None) -> WignerFunction:
-    """Shear-kick-shear evolution; the kick is exp(-i dt kernel / hbar)."""
+    """Shear-kick-shear evolution, each a real-FFT pair; the kick is
+    exp(-i dt kernel / hbar), with the kernel odd in x' bit for bit."""
     _check_steps(dt, steps)
     if steps == 0:
         return w
@@ -183,37 +182,40 @@ def _phase_space_split(route: str, w: WignerFunction, kernel, dt: float,
             f"phase-space evolution needs an even sample count, got {g.n}")
     half_sep = 0.5 * (np.arange(g.n) - g.n // 2)[None, :] * g.dx
     kick_phase = np.exp(-1j * dt / g.hbar * kernel(g.x[:, None], half_sep))
-    # x' = -L/2 has no mirror bin; leave it untouched to preserve the
-    # Hermitian symmetry that keeps W real
+    # x' = -L/2 has no mirror bin: a factor 1 keeps the kick Hermitian
     kick_phase[:, 0] = 1.0
     # For even n the centering shifts of the p <-> x' transform pair
     # cancel around the kick, up to this reordering of the multiplier.
     kick_phase = np.fft.ifftshift(kick_phase, axes=1)
+    # W real: irfft(rfft(W) conj(K)) is fft(ifft(W) K) if column -k of K
+    # is conj(column k); a real pair drops the rest, so check it exactly
+    mirror = -np.arange(g.n // 2 + 1)
+    half = kick_phase[:, :g.n // 2 + 1].conj()
+    if not np.array_equal(kick_phase[:, mirror], half):
+        raise MonitorError(route, 0, w.t, "kick multiplier asymmetry in x'",
+                           float(np.max(np.abs(kick_phase[:, mirror] - half))),
+                           0.0)
+    kick_phase = half
     total0 = w.total()
 
-    def readings(values, spec, kicked):
-        # the kick is a complex transform pair so that this residue
-        # measures how far the kicked field is from real
-        yield ("imaginary residue after the kick",
-               float(np.max(np.abs(kicked.imag))), REALNESS_TOL)
-        yield ("phase-space norm drift",
-               abs(float(np.sum(values) * g.dx * g.dp - total0)),
-               NORM_DRIFT_TOL)
+    def readings(values, spec):
+        drift = abs(float(np.sum(values) * g.dx * g.dp - total0))
+        yield ("phase-space norm drift", drift, NORM_DRIFT_TOL)
 
     # work buffers, overwritten every step
-    kicked = np.empty((g.n, g.n), dtype=complex)
-    spectrum = np.empty((g.n // 2 + 1, g.n), dtype=complex)
+    p_spectrum = np.empty((g.n, g.n // 2 + 1), dtype=complex)
+    x_spectrum = np.empty((g.n // 2 + 1, g.n), dtype=complex)
     plane = np.empty((g.n, g.n))
 
     def kick(v):
-        np.fft.ifft(v, axis=1, out=kicked)
-        # field first: swapped operands round differently
-        np.multiply(kicked, kick_phase, out=kicked)
-        return np.fft.fft(kicked, axis=1, out=kicked)
+        np.fft.rfft(v, axis=1, out=p_spectrum)
+        # spectrum first, in place: a fixed operand order fixes the rounding
+        np.multiply(p_spectrum, kick_phase, out=p_spectrum)
+        return np.fft.irfft(p_spectrum, g.n, axis=1, out=plane)
 
     values = _strang(
         route, w.values, w.t, dt, steps,
-        forward=lambda v: np.fft.rfft(v.real, axis=0, out=spectrum),
+        forward=lambda v: np.fft.rfft(v, axis=0, out=x_spectrum),
         inverse=lambda spec: np.fft.irfft(spec, g.n, axis=0, out=plane),
         a_phase=lambda tau: _shear_phase(g, tau), kick=kick,
         readings=readings, boundary=lambda v: boundary_mass(v, (0, 1)),
@@ -295,7 +297,7 @@ def propagate_characteristic(z: CharacteristicZ, potential: Potential,
         kin = np.exp(-1j * g.hbar * k ** 2 * tau / (2.0 * g.mass))
         return kin[:, None] * np.conj(kin)[None, :]
 
-    def readings(values, spec, kicked):
+    def readings(values, spec):
         kernel = CharacteristicZ(g, values)
         yield ("Hermiticity defect", kernel.hermiticity_defect(),
                HERMITICITY_TOL)
@@ -417,6 +419,25 @@ def classical_trajectory(x0: float, p0: float, potential: Potential,
                                schedule, mass, 0.0))
 
 
+def _ehrenfest(psi0: Wavefunction, potential: Potential, t_grid, dt: float):
+    """ehrenfest_track's table and the state it ends in."""
+    g = psi0.grid
+    schedule = sample_steps(t_grid, dt, psi0.t)
+    orbit = _rk4_orbit(expectation_operator(psi0, "x"),
+                       expectation_operator(psi0, "p"), potential, dt,
+                       schedule, g.mass, psi0.t)
+    rows, psi = [], psi0
+    for steps, (_, x_cl, p_cl) in zip(schedule, orbit):
+        psi = propagate_schrodinger(psi, potential, dt, steps)
+        density = np.abs(psi.samples) ** 2
+        mean_x = float(np.sum(g.x * density) * g.dx)
+        mean_p = expectation_operator(psi, "p")
+        mean_force = float(np.sum(potential.force(g.x) * density) * g.dx)
+        rows.append((psi.t, mean_x, mean_p, mean_force,
+                     float(potential.force(mean_x)), x_cl, p_cl))
+    return np.array(rows), psi
+
+
 def ehrenfest_track(psi0: Wavefunction, potential: Potential, t_grid,
                     dt: float):
     """Quantum means along a Schrodinger evolution next to the classical
@@ -426,19 +447,4 @@ def ehrenfest_track(psi0: Wavefunction, potential: Potential, t_grid,
     The gap between <F(x)> and F(<x>) exposes how far the packet is from
     the single-orbit picture; it vanishes identically for quadratic V.
     """
-    g = psi0.grid
-    schedule = sample_steps(t_grid, dt, psi0.t)
-    orbit = _rk4_orbit(expectation_operator(psi0, "x"),
-                       expectation_operator(psi0, "p"), potential, dt,
-                       schedule, g.mass, psi0.t)
-    rows = []
-    psi = psi0
-    for steps, (_, x_cl, p_cl) in zip(schedule, orbit):
-        psi = propagate_schrodinger(psi, potential, dt, steps)
-        density = np.abs(psi.samples) ** 2
-        mean_x = float(np.sum(g.x * density) * g.dx)
-        mean_p = expectation_operator(psi, "p")
-        mean_force = float(np.sum(potential.force(g.x) * density) * g.dx)
-        rows.append((psi.t, mean_x, mean_p, mean_force,
-                     float(potential.force(mean_x)), x_cl, p_cl))
-    return np.array(rows)
+    return _ehrenfest(psi0, potential, t_grid, dt)[0]

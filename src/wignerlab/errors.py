@@ -44,8 +44,8 @@ class PropagationError(WignerlabError):
 class MonitorError(PropagationError):
     """A runtime numerical monitor tripped its hard threshold.
 
-    Names the propagation route, the step (counted from 1) and the time
-    it reached, the monitored quantity, its value and the threshold.
+    Names the route, the step (from 1; step 0 is the set-up check) and
+    the time reached, the monitored quantity, its value and threshold.
     """
 
     def __init__(self, route: str, step: int, t: float, quantity: str,

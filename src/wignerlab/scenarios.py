@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from . import io as wio
-from .dynamics import (boundary_mass, cross_validate, ehrenfest_track,
+from .dynamics import (_ehrenfest, boundary_mass, cross_validate,
                        propagate_characteristic, propagate_moyal_exact,
                        propagate_moyal_truncated, propagate_schrodinger,
                        sample_steps)
@@ -413,7 +413,7 @@ def _run_tomo(grid, psi, potential, save, n_angles):
 
 
 def _run_ehrenfest(grid, psi, potential, save, dt, t_grid):
-    table = ehrenfest_track(psi, potential, t_grid, dt)
+    table, final = _ehrenfest(psi, potential, t_grid, dt)
     gap = np.abs(table[:, 3] - table[:, 4])
     classical_gap = np.hypot(table[:, 1] - table[:, 5],
                              table[:, 2] - table[:, 6])
@@ -424,8 +424,8 @@ def _run_ehrenfest(grid, psi, potential, save, dt, t_grid):
     save("csv", "ehrenfest.csv", wio.write_csv,
          ("t", "mean_x", "mean_p", "mean_force", "force_at_mean",
           "classical_x", "classical_p"), [tuple(row) for row in table])
-    return metrics, _monitors(norm(psi) ** 2 - 1.0,
-                              np.abs(psi.samples) ** 2, (0,))
+    return metrics, _monitors(norm(final) ** 2 - 1.0,
+                              np.abs(final.samples) ** 2, (0,))
 
 
 # section.key -> check, for every key that is not a plain number

@@ -7,14 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wignerlab import (ConfigError, __version__, gaussian_packet, make_grid,
+from wignerlab import (ConfigError, __version__, free_particle,
+                       gaussian_packet, make_grid, norm,
                        propagate_characteristic, propagate_moyal_exact,
                        propagate_moyal_truncated, propagate_schrodinger,
                        quartic, to_characteristic, wigner_transform)
+from wignerlab.dynamics import boundary_mass
 from wignerlab.cli import main
 from wignerlab.grid import square_grid
 from wignerlab.io import read_field
-from wignerlab.scenarios import ROUTES, load_config, run_scenario
+from wignerlab.scenarios import ROUTES, _monitors, load_config, run_scenario
 
 QUICK_YAML = """\
 name: quick-cat
@@ -393,6 +395,26 @@ def test_evolve_runs_the_route_propagator(tmp_path, route):
     assert np.array_equal(written, ROUTE_FIELDS[route](*run).values)
     if route == "truncated":
         assert not np.array_equal(written, ROUTE_FIELDS["moyal"](*run).values)
+
+
+def test_ehrenfest_monitors_describe_the_evolved_state(tmp_path):
+    """The manifest's monitors are those of the state at the last t_grid
+    time: here a packet that moves toward the edge, so its boundary mass
+    grows far above the initial state's."""
+    head = EVOLVE_YAML.format(name="drift", route="", dt=0, t_final=0,
+                              p0=2.0, potential="  kind: free")
+    config = tmp_path / "drift.yaml"
+    config.write_text(head.split("experiment:")[0] + "experiment:\n"
+                      "  kind: ehrenfest\n  dt: 0.01\n  t_grid: [0.0, 1.0]\n")
+    out = tmp_path / "o"
+    assert main(["run", str(config), "--output", str(out)]) == 0
+    monitors = json.loads((out / "manifest.json").read_text())["monitors"]
+    psi = gaussian_packet(make_grid(128, -8.0, 8.0), 0.0, 2.0, 1.0)
+    final = propagate_schrodinger(psi, free_particle(), 0.01, 100)
+    assert monitors == _monitors(norm(final) ** 2 - 1.0,
+                                 np.abs(final.samples) ** 2, (0,))
+    assert monitors["boundary_mass"] > 1e3 * boundary_mass(
+        np.abs(psi.samples) ** 2, (0,))
 
 
 EXPERIMENTS = {

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from wignerlab import (CharacteristicZ, MonitorError, PropagationError,
                        propagate_characteristic, propagate_moyal_exact,
                        propagate_moyal_truncated, propagate_schrodinger,
                        quartic, to_characteristic, wigner_transform)
-from wignerlab.dynamics import boundary_mass, sample_steps
+from wignerlab.dynamics import _phase_space_split, boundary_mass, sample_steps
 from wignerlab.observables import expectation_operator
 
 from conftest import SQRT_HALF, gaussian_wigner
@@ -164,6 +166,77 @@ def test_moyal_rejects_odd_sample_count():
                       lambda *args: propagate_moyal_truncated(*args, 1)):
         with pytest.raises(PropagationError, match="even sample count"):
             propagate(w, harmonic(1.0), 1e-3, 1)
+
+
+def complex_kick_split(w, kernel, dt, steps):
+    """Shear-kick-shear with merged half shears and the kick as a complex
+    ifft/fft pair along p, of which the real part is kept: it assumes no
+    symmetry of the kick multiplier."""
+    g = w.grid
+    half_sep = 0.5 * (np.arange(g.n) - g.n // 2)[None, :] * g.dx
+    kick = np.exp(-1j * dt / g.hbar * kernel(g.x[:, None], half_sep))
+    kick[:, 0] = 1.0
+    kick = np.fft.ifftshift(kick, axes=1)
+    kx = g.wavenumbers_x()[:g.n // 2 + 1]
+
+    def shear(values, tau):
+        phase = np.exp(-1j * np.outer(kx, g.p) * tau / g.mass)
+        phase[-1] = phase[-1].real  # the unpaired Nyquist row
+        return np.fft.irfft(np.fft.rfft(values, axis=0) * phase, g.n, axis=0)
+
+    values = shear(w.values, 0.5 * dt)
+    for step in range(1, steps + 1):
+        values = np.fft.fft(np.fft.ifft(values, axis=1) * kick, axis=1).real
+        values = shear(values, dt if step < steps else 0.5 * dt)
+    return values
+
+
+def series_kernel(potential, n_max):
+    return lambda x, s: sum(
+        2.0 / math.factorial(2 * k + 1) * potential.derivative(x, 2 * k + 1)
+        * s ** (2 * k + 1) for k in range(n_max + 1))
+
+
+@pytest.mark.parametrize("n_max", [0, 1, None])
+def test_real_kick_matches_the_complex_kick(n_max):
+    """The half-spectrum kick agrees with a complex kick pair after 400
+    quartic steps, on the truncated series and on the exact route."""
+    g = make_grid(128, -8.0, 8.0)
+    w = wigner_transform(gaussian_packet(g, 1.0, 0.0, SQRT_HALF))
+    V = quartic(0.1)
+    if n_max is None:
+        out = propagate_moyal_exact(w, V, 1e-3, 400)
+        oracle = complex_kick_split(
+            w, lambda x, s: V.value(x + s) - V.value(x - s), 1e-3, 400)
+    else:
+        out = propagate_moyal_truncated(w, V, 1e-3, 400, n_max)
+        oracle = complex_kick_split(w, series_kernel(V, n_max), 1e-3, 400)
+    assert np.max(np.abs(out.values - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("route", ["moyal", "truncated"])
+def test_kick_with_an_even_part_fails_at_set_up(route):
+    """A real-FFT kick would drop an even part of the kernel silently;
+    the exact set-up check refuses it instead, at step 0."""
+    g = make_grid(64, -8.0, 8.0)
+    w = wigner_transform(gaussian_packet(g, 1.0, 0.0, SQRT_HALF))
+    with pytest.raises(MonitorError, match="asymmetry") as info:
+        _phase_space_split(route, w, lambda x, s: x * s ** 2, 1e-3, 10, None)
+    error = info.value
+    assert (error.route, error.step, error.t) == (route, 0, w.t)
+    assert error.threshold == 0.0 < error.value
+    assert f"{route} route, step 0" in str(error)
+
+
+def test_phase_space_total_conserved():
+    """The x' = 0 column of the kick multiplier is exactly 1, so the
+    field's integral survives 1000 steps to 1e-12."""
+    g = make_grid(128, -8.0, 8.0)
+    w = wigner_transform(gaussian_packet(g, 1.0, 0.0, SQRT_HALF))
+    V = quartic(0.1)
+    for out in (propagate_moyal_exact(w, V, 1e-3, 1000),
+                propagate_moyal_truncated(w, V, 1e-3, 1000, 0)):
+        assert abs(out.total() - w.total()) < 1e-12
 
 
 def test_characteristic_matches_schrodinger_chain(grid256):
