@@ -45,16 +45,24 @@ HERMITICITY_TOL = 1e-10
 
 
 def _check_steps(dt: float, steps: int) -> None:
-    if dt <= 0:
-        raise PropagationError(f"nonpositive step: dt = {dt}")
+    if not 0 < dt < math.inf:   # NaN too
+        raise PropagationError(f"nonpositive step, or not finite: dt = {dt}")
     if steps < 0:
         raise PropagationError(f"negative step count: {steps}")
 
 
-def sample_steps(sample_times, dt: float, t0: float = 0.0) -> list:
-    """Step counts that carry a run from t0 through each sample time,
-    each of which must lie a whole number of steps after the previous."""
+def sample_steps(sample_times, dt: float, t0: float = 0.0,
+                 t_final: float | None = None) -> list:
+    """Step counts that carry a run from t0 through the sample times,
+    given in any order and taken in increasing order; each must lie a
+    whole number of steps after the previous, and inside [t0, t_final]
+    when t_final is given."""
     _check_steps(dt, 0)
+    sample_times = sorted(float(t) for t in sample_times)
+    if t_final is not None and sample_times and not (
+            t0 <= sample_times[0] <= sample_times[-1] <= t_final + 1e-12):
+        raise PropagationError(
+            f"sample times must lie inside [{t0:g}, t_final]")
     counts = []
     t = t0
     for target in sample_times:
@@ -286,7 +294,7 @@ def propagate_characteristic(z: CharacteristicZ, potential: Potential,
         return z
     g = z.grid
     herm0 = z.hermiticity_defect()
-    if herm0 > HERMITICITY_TOL:
+    if not herm0 <= HERMITICITY_TOL:   # NaN too
         raise PropagationError(f"kernel is not Hermitian: defect {herm0:.3e}")
     k = g.wavenumbers_x()
     v = potential.value(g.x)
@@ -343,18 +351,12 @@ def _l2(a: np.ndarray, b: np.ndarray, g: PhaseGrid) -> float:
 def cross_validate(psi0: Wavefunction, potential: Potential, t_final: float,
                    dt: float, sample_times) -> EvolutionReport:
     """Run the three routes side by side from psi0.t and report their
-    agreement at the times reached.
+    agreement at the times reached, in increasing order.
 
-    sample_times must lie whole numbers of steps dt after psi0.t, inside
-    [psi0.t, t_final].  An empty request produces an empty report.
+    sample_steps schedules sample_times, in any order, from psi0.t
+    within [psi0.t, t_final].  An empty request produces an empty report.
     """
-    t0 = psi0.t
-    sample_times = sorted(float(t) for t in sample_times)
-    if sample_times and not t0 <= sample_times[0] <= sample_times[-1] \
-            <= t_final + 1e-12:
-        raise PropagationError(
-            f"sample times must lie inside [{t0:g}, t_final]")
-    schedule = sample_steps(sample_times, dt, t0)
+    schedule = sample_steps(sample_times, dt, psi0.t, t_final)
     report = EvolutionReport()
     check_normalized(psi0)
     g = psi0.grid
@@ -411,10 +413,10 @@ def classical_trajectory(x0: float, p0: float, potential: Potential,
                          t_grid, dt: float, mass: float = 1.0):
     """RK4 integration of dx/dt = p/m, dp/dt = -V'(x) from t = 0.
 
-    Returns an array of rows (t, x, p) at the requested times, which
-    must be (near-)multiples of dt.
+    Returns an array of rows (t, x, p) at the requested times, in
+    increasing order; each must be a (near-)multiple of dt.
     """
-    schedule = sample_steps([float(t) for t in t_grid], dt)
+    schedule = sample_steps(t_grid, dt)
     return np.array(_rk4_orbit(float(x0), float(p0), potential, dt,
                                schedule, mass, 0.0))
 
@@ -443,7 +445,8 @@ def ehrenfest_track(psi0: Wavefunction, potential: Potential, t_grid,
     """Quantum means along a Schrodinger evolution next to the classical
     trajectory launched from (<x>, <p>) at psi0.t.
 
-    Returns rows (t, <x>, <p>, <F(x)>, F(<x>), classical_x, classical_p).
+    Returns rows (t, <x>, <p>, <F(x)>, F(<x>), classical_x, classical_p)
+    at the times of t_grid in increasing order.
     The gap between <F(x)> and F(<x>) exposes how far the packet is from
     the single-orbit picture; it vanishes identically for quadratic V.
     """

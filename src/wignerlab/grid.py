@@ -34,14 +34,15 @@ class PhaseGrid:
     def __post_init__(self):
         if self.n < 8:
             raise GridError(f"grid.n must be >= 8, got {self.n}")
-        if not self.x_max > self.x_min:
-            raise GridError(
-                f"degenerate bounds: x_min={self.x_min}, x_max={self.x_max}"
-            )
-        if not self.hbar > 0:
-            raise GridError(f"grid.hbar must be positive, got {self.hbar}")
-        if not self.mass > 0:
-            raise GridError(f"grid.mass must be positive, got {self.mass}")
+        if not -np.inf < self.x_min < self.x_max < np.inf:   # NaN too
+            raise GridError(f"bounds must be finite with x_min < x_max, "
+                            f"got x_min={self.x_min}, x_max={self.x_max}")
+        if not 0 < self.hbar < np.inf:
+            raise GridError(f"grid.hbar must be finite and positive, "
+                            f"got {self.hbar}")
+        if not 0 < self.mass < np.inf:
+            raise GridError(f"grid.mass must be finite and positive, "
+                            f"got {self.mass}")
 
     @property
     def dx(self) -> float:

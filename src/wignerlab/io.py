@@ -105,21 +105,10 @@ def write_csv(path, header, rows) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _canonical(obj):
-    """Recursively coerce numpy scalars/arrays so json can serialize."""
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_canonical(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def write_json(path, obj) -> None:
     """Canonical JSON: sorted keys, fixed separators, trailing newline."""
+    # np.float64 is a float; other numpy scalars and arrays go by tolist()
     with open(path, "w") as handle:
-        json.dump(_canonical(obj), handle, sort_keys=True, indent=2)
+        json.dump(obj, handle, sort_keys=True, indent=2,
+                  default=lambda value: value.tolist())
         handle.write("\n")

@@ -345,7 +345,7 @@ def _run_evolve(grid, psi, potential, save, route, dt, t_final,
         propagate = partial(propagate_moyal_truncated, n_max=n_max)
     flags: list = []
     series = []
-    for steps in sample_steps(sample_times or [t_final], dt):
+    for steps in sample_steps(sample_times or [t_final], dt, psi.t, t_final):
         state = propagate(state, potential, dt, steps, boundary_flags=flags)
         if route != "characteristic":
             w = wigner_transform(state) if route == "schrodinger" else state

@@ -6,6 +6,7 @@ cat states.
 """
 
 from dataclasses import dataclass
+import math
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-9    # allowed |1 - integral |psi|^2 dx| of a normalized state
-CANCEL_TOL = 1e-7  # pre-normalization amplitude below which superpose fails
+CANCEL_TOL = 1e-7  # norm below which a state cannot be normalized
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,8 @@ def norm(psi: Wavefunction) -> float:
 
 def normalized(psi: Wavefunction) -> Wavefunction:
     nrm = norm(psi)
-    if not nrm >= CANCEL_TOL:   # NaN too
-        raise NormalizationError(f"state norm {nrm:.3e} too small to normalize")
+    if not CANCEL_TOL <= nrm < math.inf:   # NaN too
+        raise NormalizationError(f"state norm {nrm:.3e} cannot be normalized")
     return Wavefunction(psi.grid, psi.samples / nrm, psi.t)
 
 
@@ -126,8 +127,8 @@ def superpose(states: Sequence[Wavefunction],
     """Normalized linear combination; returns (state, pre-normalization norm).
 
     The pre-normalization norm is reported so callers can detect
-    near-cancellation; a combination below the cancellation threshold
-    raises NormalizationError.
+    near-cancellation; a combination that `normalized` cannot scale to
+    unit norm (it cancels, or it is not finite) raises NormalizationError.
     """
     if len(states) != len(coefficients) or not states:
         raise StateError("states and coefficients must be non-empty and match")
@@ -144,11 +145,8 @@ def superpose(states: Sequence[Wavefunction],
     total = np.zeros(g.n, dtype=complex)
     for c, s in zip(coeffs, states):
         total += c * s.samples
-    pre_norm = float(np.sqrt(np.sum(np.abs(total) ** 2) * g.dx))
-    if pre_norm < CANCEL_TOL:
-        raise NormalizationError(
-            f"contributions cancel: pre-normalization norm {pre_norm:.3e}")
-    return Wavefunction(g, total / pre_norm, t), pre_norm
+    combined = Wavefunction(g, total, t)
+    return normalized(combined), norm(combined)
 
 
 def cat_state(grid: PhaseGrid, x0: float, sigma: float,

@@ -58,7 +58,7 @@ class Tomogram:
         if len({(round(m, 12), round(n, 12)) for m, n in self.frames}) \
                 != len(self.frames):
             raise TomographyError("tomogram frames must be pairwise distinct")
-        if any(abs(m * m + n * n - 1.0) > 1e-12 for m, n in self.frames):
+        if not all(abs(m * m + n * n - 1.0) <= 1e-12 for m, n in self.frames):
             raise TomographyError("tomogram frames must be unit rotations, "
                                   "mu^2 + nu^2 = 1")
 

@@ -221,15 +221,25 @@ def write_late_sample(tmp_path):
     return path
 
 
+def write_late_evolve(tmp_path):
+    path = write_evolve(tmp_path, "late", "moyal", 0.01, 0.1, p0=0.0,
+                        potential="  kind: harmonic",
+                        extra="  sample_times: [0.3]\n")
+    path.write_text(path.read_text().replace("8.0", "12.0"))
+    return path
+
+
 @pytest.mark.parametrize("write,code,message", [
     (write_late_sample, 3, "sample times must lie inside [0, t_final]"),
+    (write_late_evolve, 3, "sample times must lie inside [0, t_final]"),
     (lambda tmp_path: write_evolve(tmp_path, "edge", "schrodinger", 0.01,
                                    4.0), 4, "boundary mass"),
 ])
 def test_failed_run_leaves_no_output(tmp_path, capsys, write, code,
                                      message):
     """Failures found while the scenario runs, after the config loaded:
-    a validate sample time past t_final, and a tripped monitor."""
+    a validate or evolve sample time past t_final, and a tripped
+    monitor."""
     config = write(tmp_path)
     load_config(config)
     out = tmp_path / "o"
@@ -250,6 +260,23 @@ def test_evolve_reports_the_time_reached(tmp_path):
     series = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)
     assert series[0] == reached
     assert read_field(out / "final.wig1")[1]["time"] == reached
+
+
+def test_evolve_takes_sample_times_in_any_order(tmp_path):
+    outputs = []
+    for name, times in (("sorted", "[0.02, 0.05]"),
+                        ("unsorted", "[0.05, 0.02]")):
+        config = write_evolve(tmp_path, name, "moyal", 0.01, 0.1, p0=0.0,
+                              potential="  kind: harmonic",
+                              extra=f"  sample_times: {times}\n")
+        config.write_text(config.read_text().replace("8.0", "12.0"))
+        outputs.append(tmp_path / name)
+        assert main(["run", str(config), "--output", str(outputs[-1])]) == 0
+    for artifact in ("final.wig1", "series.csv"):
+        assert filecmp.cmp(outputs[0] / artifact, outputs[1] / artifact,
+                           shallow=False), artifact
+    manifest = json.loads((outputs[1] / "manifest.json").read_text())
+    assert manifest["metrics"]["final_time"] == 0.05
 
 
 def test_evolve_manifest_flags_boundary_mass(tmp_path):

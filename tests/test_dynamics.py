@@ -5,7 +5,7 @@ import pytest
 
 from wignerlab import (CharacteristicZ, MonitorError, PropagationError,
                        Wavefunction, WignerFunction, cat_state,
-                       cross_validate, double_well,
+                       cross_validate, double_well, ehrenfest_track,
                        free_particle, gaussian_packet, harmonic, make_grid,
                        propagate_characteristic, propagate_moyal_exact,
                        propagate_moyal_truncated, propagate_schrodinger,
@@ -43,6 +43,16 @@ def test_schrodinger_rejects_nonpositive_dt(grid256):
     psi = gaussian_packet(grid256, 0.0, 0.0, 1.0)
     with pytest.raises(PropagationError):
         propagate_schrodinger(psi, free_particle(), 0.0, 10)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_non_finite_step_fails_at_set_up(grid256, dt):
+    """NaN and inf fail the step gate before any step, not a monitor
+    at step 1 (MonitorError is a PropagationError too)."""
+    psi = gaussian_packet(grid256, 0.0, 0.0, 1.0)
+    with pytest.raises(PropagationError, match="not finite") as caught:
+        propagate_schrodinger(psi, harmonic(1.0), dt, 3)
+    assert type(caught.value) is PropagationError
 
 
 def test_schrodinger_zero_steps_is_identity(grid256):
@@ -266,6 +276,16 @@ def test_characteristic_rejects_non_hermitian(grid256):
         propagate_characteristic(z, free_particle(), 1e-3, 1)
 
 
+def test_characteristic_rejects_a_nan_kernel_at_set_up():
+    g = make_grid(64, -8.0, 8.0)
+    z = to_characteristic(wigner_transform(gaussian_packet(g, 0.0, 0.0, 1.0)))
+    z.values[3, 3] = np.nan
+    with pytest.raises(PropagationError,
+                       match="kernel is not Hermitian") as caught:
+        propagate_characteristic(z, harmonic(1.0), 1e-3, 3)
+    assert type(caught.value) is PropagationError
+
+
 def test_characteristic_zero_steps_bit_exact(grid256):
     z = to_characteristic(wigner_transform(
         gaussian_packet(grid256, 0.0, 0.0, 1.0)))
@@ -338,6 +358,26 @@ def test_sample_steps_from_a_start_time():
                           ([1.0], 1e-320, 0.0)):  # the ratio overflows
         with pytest.raises(PropagationError, match="not a multiple of dt"):
             sample_steps(times, dt, t0)
+
+
+def test_sample_steps_sorts_and_bounds_by_t_final():
+    assert sample_steps([1.0, 0.5, 0.75], 0.25) == [2, 1, 1]
+    assert sample_steps([2.0, 1.5], 0.25, 1.0, 2.0) == [2, 2]
+    for times, t0, t_final in (([0.5], 0.0, 0.25),    # past t_final
+                               ([0.5], 1.0, 2.0),     # before the start
+                               ([0.25, math.nan], 0.0, 1.0)):
+        with pytest.raises(PropagationError,
+                           match=rf"inside \[{t0:g}, t_final\]"):
+            sample_steps(times, 0.25, t0, t_final)
+
+
+def test_ehrenfest_track_sorts_its_times():
+    g = make_grid(128, -12.0, 12.0)
+    psi = gaussian_packet(g, 1.0, 0.0, 1.0)
+    table = ehrenfest_track(psi, harmonic(1.0), [0.1, 0.05, 0.02], 0.01)
+    assert np.array_equal(
+        table, ehrenfest_track(psi, harmonic(1.0), [0.02, 0.05, 0.1], 0.01))
+    assert list(table[:, 0]) == sorted(table[:, 0])
 
 
 def test_boundary_mass_metric():

@@ -44,6 +44,17 @@ def test_nonpositive_physical_constants_rejected(kwargs):
         make_grid(16, -4.0, 4.0, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"x_max": np.inf}, {"x_min": -np.inf}, {"x_min": np.nan},
+    {"x_min": np.inf, "x_max": np.inf}, {"hbar": np.inf}, {"hbar": np.nan},
+    {"mass": np.inf}, {"mass": np.nan},
+])
+def test_non_finite_grid_parameters_rejected(kwargs):
+    """make_grid(64, -8, inf) used to return a grid with dx = inf."""
+    with pytest.raises(GridError):
+        make_grid(**{"n": 64, "x_min": -8.0, "x_max": 8.0, **kwargs})
+
+
 def test_square_grid_has_equal_spacings():
     g = square_grid(128, hbar=0.5)
     assert g.dx == pytest.approx(g.dp, rel=1e-15)

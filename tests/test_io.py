@@ -120,3 +120,11 @@ def test_json_is_canonical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().endswith("\n")
     assert json.loads(a.read_text()) == {"a": [3, "s"], "z": 1.5}
+    # arrays, other numpy scalars and tuples write as their plain values
+    for value, plain in (
+            (np.array([[0.1, -2.0], [3.0, 4.5]]), [[0.1, -2.0], [3.0, 4.5]]),
+            (np.float32(0.1), float(np.float32(0.1))),
+            (np.bool_(True), True), ((1, "s", 2.5), [1, "s", 2.5])):
+        write_json(a, {"v": value, "w": [value]})
+        write_json(b, {"v": plain, "w": [plain]})
+        assert a.read_bytes() == b.read_bytes(), value

@@ -110,6 +110,15 @@ def test_superpose_all_zero_coefficients(grid256):
         superpose([psi, psi], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("coefficient", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_superpose_rejects_a_non_finite_coefficient(grid256, coefficient):
+    """A NaN or infinite coefficient used to give an all-NaN state."""
+    left = gaussian_packet(grid256, -3.0, 0.0, 1.0)
+    right = gaussian_packet(grid256, 3.0, 0.0, 1.0)
+    with np.errstate(invalid="ignore"), pytest.raises(NormalizationError):
+        superpose([left, right], [1.0, coefficient])
+
+
 def test_superpose_grid_mismatch(grid256):
     other = make_grid(128, -16.0, 16.0)
     with pytest.raises(StateError):

@@ -333,3 +333,9 @@ def test_scaled_frames_rejected(sq128):
     scaled = tuple((2 * mu, 2 * nu) for mu, nu in tomo.frames)
     with pytest.raises(TomographyError, match="unit rotations"):
         Tomogram(scaled, tomo.x_axis, tomo.values)
+
+
+@pytest.mark.parametrize("frame", [(np.nan, 0.0), (1.0, np.inf)])
+def test_non_finite_frame_rejected(sq128, frame):
+    with pytest.raises(TomographyError, match="unit rotations"):
+        Tomogram((frame,), sq128.x, np.zeros((1, sq128.n)))
