@@ -257,9 +257,9 @@ def propagate_moyal_truncated(w: WignerFunction, potential: Potential,
     which keeps the first n_max quantum corrections
     (-hbar^2/4)^n / (2n+1)! V^(2n+1)(x) d^(2n+1)W/dp^(2n+1) of the Moyal
     equation.  The kick stays unitary, so the step size is limited by
-    splitting error alone.  Terms whose derivative vanishes are skipped:
-    once n_max covers every odd derivative of V the result no longer
-    depends on it.
+    splitting error alone.  Terms above V's degree vanish and are not
+    summed: once n_max covers every odd derivative of V the result no
+    longer depends on it.
     """
     if n_max < 0:
         raise PropagationError(f"n_max must be >= 0, got {n_max}")
@@ -267,12 +267,11 @@ def propagate_moyal_truncated(w: WignerFunction, potential: Potential,
     def series(x, half_sep):
         kernel = np.zeros((x.size, half_sep.size))
         # derivatives of order above the degree vanish: stop there
-        for n in range(min(n_max, potential.degree // 2) + 1):
+        for n in range(min(n_max, (potential.degree - 1) // 2) + 1):
             order = 2 * n + 1
-            profile = potential.derivative(x, order)
-            if np.any(profile):
-                kernel = kernel + (2.0 / math.factorial(order)
-                                   * profile * half_sep ** order)
+            kernel = kernel + (2.0 / math.factorial(order)
+                               * potential.derivative(x, order)
+                               * half_sep ** order)
         return kernel
 
     return _phase_space_split("truncated", w, series, dt, steps,
@@ -388,15 +387,19 @@ def cross_validate(psi0: Wavefunction, potential: Potential, t_final: float,
     return report
 
 
-def _rk4_orbit(x: float, p: float, potential: Potential, dt: float,
-               schedule, mass: float, t: float) -> list:
-    """Rows (t, x, p) after each leg of a schedule of step counts that
-    starts at t: RK4 for dx/dt = p/m, dp/dt = -V'(x)."""
+def classical_trajectory(x0: float, p0: float, potential: Potential,
+                         t_grid, dt: float, mass: float = 1.0):
+    """RK4 integration of dx/dt = p/m, dp/dt = -V'(x) from t = 0.
+
+    Returns rows (t, x, p) at the times of t_grid in increasing order,
+    each a whole number of steps after the previous (see sample_steps).
+    """
     def rhs(x, p):
         return p / mass, -potential.derivative(x, 1)
 
+    x, p, t = float(x0), float(p0), 0.0
     rows = []
-    for steps in schedule:
+    for steps in sample_steps(t_grid, dt):
         for _ in range(steps):
             k1x, k1p = rhs(x, p)
             k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
@@ -406,28 +409,17 @@ def _rk4_orbit(x: float, p: float, potential: Potential, dt: float,
             p += dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
         t += steps * dt
         rows.append((t, x, p))
-    return rows
-
-
-def classical_trajectory(x0: float, p0: float, potential: Potential,
-                         t_grid, dt: float, mass: float = 1.0):
-    """RK4 integration of dx/dt = p/m, dp/dt = -V'(x) from t = 0.
-
-    Returns an array of rows (t, x, p) at the requested times, in
-    increasing order; each must be a (near-)multiple of dt.
-    """
-    schedule = sample_steps(t_grid, dt)
-    return np.array(_rk4_orbit(float(x0), float(p0), potential, dt,
-                               schedule, mass, 0.0))
+    return np.array(rows)
 
 
 def _ehrenfest(psi0: Wavefunction, potential: Potential, t_grid, dt: float):
     """ehrenfest_track's table and the state it ends in."""
     g = psi0.grid
     schedule = sample_steps(t_grid, dt, psi0.t)
-    orbit = _rk4_orbit(expectation_operator(psi0, "x"),
-                       expectation_operator(psi0, "p"), potential, dt,
-                       schedule, g.mass, psi0.t)
+    # V is static: the orbit over a span from psi0.t is the one from 0
+    orbit = classical_trajectory(
+        expectation_operator(psi0, "x"), expectation_operator(psi0, "p"),
+        potential, [t - psi0.t for t in t_grid], dt, g.mass)
     rows, psi = [], psi0
     for steps, (_, x_cl, p_cl) in zip(schedule, orbit):
         psi = propagate_schrodinger(psi, potential, dt, steps)

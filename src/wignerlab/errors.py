@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI:
-    ConfigError                      -> 2
+    ConfigError (also wraps a config's PotentialError)                 -> 2
     physics preconditions (Grid/State/Normalization/Purity/Tomography) -> 3
     numerical monitor hard failures (Monitor/Convergence)              -> 4
 """
@@ -9,7 +9,7 @@ Exit-code mapping used by the CLI:
 __all__ = [
     "WignerlabError", "GridError", "StateError", "NormalizationError",
     "PurityError", "ConvergenceError", "PropagationError", "MonitorError",
-    "TomographyError", "ConfigError",
+    "TomographyError", "ConfigError", "PotentialError",
 ]
 
 
@@ -66,3 +66,7 @@ class TomographyError(WignerlabError):
 
 class ConfigError(WignerlabError):
     """Scenario configuration could not be parsed or validated."""
+
+
+class PotentialError(WignerlabError, ValueError):
+    """Invalid potential parameters or derivative order."""

@@ -5,9 +5,11 @@ exist for every order and vanish beyond the polynomial degree. Only
 time-independent potentials are supported.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import PotentialError
 
 __all__ = ["Potential", "polynomial", "harmonic", "quartic", "double_well",
            "free_particle"]
@@ -26,7 +28,7 @@ class Potential:
             coeffs = (0.0,)
         object.__setattr__(self, "coefficients", coeffs)
         if not np.all(np.isfinite(coeffs)):
-            raise ValueError("potential coefficients must be finite")
+            raise PotentialError("potential coefficients must be finite")
 
     @property
     def degree(self) -> int:
@@ -39,11 +41,7 @@ class Potential:
     def derivative(self, x, order: int = 1):
         """Exact derivative of the requested order, evaluated at x."""
         if order < 0:
-            raise ValueError("derivative order must be >= 0")
-        if order == 0:
-            return self.value(x)
-        if order > self.degree:
-            return np.zeros_like(np.asarray(x, dtype=float))
+            raise PotentialError("derivative order must be >= 0")
         der = np.polynomial.polynomial.polyder(self.coefficients, m=order)
         return np.polynomial.polynomial.polyval(x, der)
 
@@ -62,8 +60,9 @@ def free_particle() -> Potential:
 
 def harmonic(omega: float, mass: float = 1.0) -> Potential:
     """V(x) = m omega^2 x^2 / 2."""
-    if omega <= 0 or mass <= 0:
-        raise ValueError("harmonic potential needs omega > 0 and mass > 0")
+    if not (omega > 0 and mass > 0):   # NaN too
+        raise PotentialError("harmonic potential needs omega > 0 and "
+                             f"mass > 0, got omega={omega}, mass={mass}")
     return Potential((0.0, 0.0, 0.5 * mass * omega ** 2), tag="harmonic")
 
 
@@ -75,5 +74,5 @@ def quartic(lam: float) -> Potential:
 def double_well(a: float, b: float) -> Potential:
     """V(x) = a x^2 + b x^4 with a < 0 < b."""
     if not (a < 0 < b):
-        raise ValueError(f"double well needs a < 0 < b, got a={a}, b={b}")
+        raise PotentialError(f"double well needs a < 0 < b, got a={a}, b={b}")
     return Potential((0.0, 0.0, float(a), 0.0, float(b)), tag="double_well")

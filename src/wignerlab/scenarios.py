@@ -290,9 +290,9 @@ def builtin_config(name: str) -> ScenarioConfig:
 
 
 # Runners: runner(grid, psi, potential, save, **values) -> (metrics,
-# monitors), where save(format, name, writer, *args) has run_scenario
-# call writer(path, *args) once the runner has returned, if the scenario
-# asks for that format.
+# monitors), where save(name, *args) has run_scenario write artifact
+# name once the runner has returned, if the scenario asks for the format
+# its suffix picks: .json (json), .csv (csv) or .wig1 (binary).
 
 def _monitors(drift, values, axes=(0, 1)) -> dict:
     return {"norm_drift": drift, "boundary_mass": boundary_mass(values, axes)}
@@ -306,8 +306,8 @@ def _run_wigner(grid, psi, potential, save):
         "min_w": min_w, "negative_volume": neg_volume,
         "moments": moments(w).as_dict(),
     }
-    save("binary", "wigner.wig1", wio.write_field, w.values, grid, w.t)
-    save("csv", "wigner.csv", wio.write_csv, ("x", "p", "w"),
+    save("wigner.wig1", w.values, grid, w.t)
+    save("wigner.csv", ("x", "p", "w"),
          zip(np.repeat(grid.x, grid.n), np.tile(grid.p, grid.n),
              w.values.ravel()))
     return metrics, _monitors(norm(psi) ** 2 - 1.0, w.values)
@@ -320,8 +320,7 @@ def _run_moments(grid, psi, potential, save):
                                          phase_route.values()))
     metrics = {"operator": operator_route, "phase_space": phase_route,
                "route_gap": gap}
-    save("csv", "moments.csv", wio.write_csv,
-         ("moment", "operator_route", "phase_space_route"),
+    save("moments.csv", ("moment", "operator_route", "phase_space_route"),
          [(key, operator_route[key], phase_route[key])
           for key in operator_route])
     return metrics, _monitors(norm(psi) ** 2 - 1.0,
@@ -334,15 +333,14 @@ ROUTES = ("schrodinger", "moyal", "characteristic", "truncated")
 def _run_evolve(grid, psi, potential, save, route, dt, t_final,
                 sample_times, n_max):
     # named at run time, so the benchmark tracer's wrappers see each call
+    propagate = {"schrodinger": propagate_schrodinger,
+                 "moyal": propagate_moyal_exact,
+                 "characteristic": propagate_characteristic,
+                 "truncated": partial(propagate_moyal_truncated,
+                                      n_max=n_max)}[route]
     state = psi if route == "schrodinger" else wigner_transform(psi)
-    if route == "schrodinger":
-        propagate = propagate_schrodinger
-    elif route == "moyal":
-        propagate = propagate_moyal_exact
-    elif route == "characteristic":
-        state, propagate = to_characteristic(state), propagate_characteristic
-    else:  # truncated
-        propagate = partial(propagate_moyal_truncated, n_max=n_max)
+    if route == "characteristic":
+        state = to_characteristic(state)
     flags: list = []
     series = []
     for steps in sample_steps(sample_times or [t_final], dt, psi.t, t_final):
@@ -361,11 +359,11 @@ def _run_evolve(grid, psi, potential, save, route, dt, t_final,
         drift = (norm(state) ** 2 if route == "schrodinger"
                  else w.total()) - 1.0
         metrics = {"final_time": state.t, "final_moments": report}
-    save("binary", "final.wig1", wio.write_field, final, grid, state.t)
+    save("final.wig1", final, grid, state.t)
     if series:
-        save("csv", "series.csv", wio.write_csv,
-             ("t", "mean_x", "mean_p", "var_x", "var_p", "cov_xp",
-              "uncertainty_product", "blob_area"), series)
+        save("series.csv", ("t", "mean_x", "mean_p", "var_x", "var_p",
+                            "cov_xp", "uncertainty_product", "blob_area"),
+             series)
     return metrics, dict(_monitors(drift, final), boundary_flagged=bool(flags))
 
 
@@ -381,10 +379,10 @@ def _run_validate(grid, psi, potential, save, dt, t_final, sample_times):
     monitors = {"norm_drift": report.norm_drift[-1],
                 "boundary_mass": report.boundary[-1],
                 "boundary_flagged": report.boundary_flagged}
-    save("json", "validation.json", wio.write_json, asdict(report))
-    save("csv", "validation.csv", wio.write_csv,
-         ("t", "l2_ab", "l2_ac", "l2_bc", "norm_drift", "energy_drift",
-          "boundary_mass", "factorization_residual"),
+    save("validation.json", asdict(report))
+    save("validation.csv", ("t", "l2_ab", "l2_ac", "l2_bc", "norm_drift",
+                            "energy_drift", "boundary_mass",
+                            "factorization_residual"),
          zip(report.times, report.pair_l2["ab"], report.pair_l2["ac"],
              report.pair_l2["bc"], report.norm_drift, report.energy_drift,
              report.boundary, report.factorization_residual))
@@ -403,12 +401,11 @@ def _run_tomo(grid, psi, potential, save, n_angles):
                "min_w_reconstructed": float(rec.values.min()),
                "min_before_clip": tomo.min_before_clip}
     n_x = len(tomo.x_axis)
-    save("csv", "tomogram.csv", wio.write_csv, ("theta", "X", "w"),
+    save("tomogram.csv", ("theta", "X", "w"),
          zip(np.repeat(angles, n_x), np.tile(tomo.x_axis, len(angles)),
              tomo.values.ravel()))
-    save("binary", "tomogram.wig1", wio.write_field, tomo.values, grid, w.t)
-    save("binary", "reconstruction.wig1", wio.write_field, rec.values, grid,
-         w.t)
+    save("tomogram.wig1", tomo.values, grid, w.t)
+    save("reconstruction.wig1", rec.values, grid, w.t)
     return metrics, _monitors(w.total() - 1.0, w.values)
 
 
@@ -421,9 +418,9 @@ def _run_ehrenfest(grid, psi, potential, save, dt, t_grid):
                "max_classical_gap": float(classical_gap.max()),
                "final_mean_x": float(table[-1, 1]),
                "final_mean_p": float(table[-1, 2])}
-    save("csv", "ehrenfest.csv", wio.write_csv,
-         ("t", "mean_x", "mean_p", "mean_force", "force_at_mean",
-          "classical_x", "classical_p"), [tuple(row) for row in table])
+    save("ehrenfest.csv", ("t", "mean_x", "mean_p", "mean_force",
+                           "force_at_mean", "classical_x", "classical_p"),
+         [tuple(row) for row in table])
     return metrics, _monitors(norm(final) ** 2 - 1.0,
                               np.abs(final.samples) ** 2, (0,))
 
@@ -516,7 +513,11 @@ def run_scenario(config: ScenarioConfig, output_dir) -> dict:
     run, values = _section("experiment", config.experiment)
     pending: dict = {}
 
-    def save(fmt, name, writer, *args):
+    def save(name, *args):
+        # looked up per call, so the benchmark tracer's wrappers see writes
+        fmt, writer = {".json": ("json", wio.write_json),
+                       ".csv": ("csv", wio.write_csv),
+                       ".wig1": ("binary", wio.write_field)}[Path(name).suffix]
         if fmt in config.formats:
             pending[name] = (writer, args)
 

@@ -77,8 +77,11 @@ def gaussian_packet(grid: PhaseGrid, x0: float, p0: float,
     psi(x) proportional to exp(-(x-x0)^2/(4 sigma^2) + i p0 x / hbar).
     Raises StateError when the +/-5 sigma support leaves the domain.
     """
-    if sigma <= 0:
-        raise StateError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:   # NaN too
+        raise StateError(f"sigma must be positive and finite, got {sigma}")
+    for name, value in (("x0", x0), ("p0", p0)):
+        if not math.isfinite(value):
+            raise StateError(f"{name} must be finite, got {value}")
     if x0 - 5 * sigma < grid.x_min or x0 + 5 * sigma > grid.x_max:
         raise StateError(
             f"packet support [{x0 - 5 * sigma:.3g}, {x0 + 5 * sigma:.3g}] "
@@ -96,10 +99,10 @@ def harmonic_eigenstate(grid: PhaseGrid, level: int,
     Uses the three-term recurrence on normalized Hermite functions,
     which is stable up to level 20 without overflow.
     """
-    if level < 0 or level > 20:
-        raise StateError(f"level must lie in [0, 20], got {level}")
-    if omega <= 0:
-        raise StateError(f"omega must be positive, got {omega}")
+    if not (isinstance(level, (int, np.integer)) and 0 <= level <= 20):
+        raise StateError(f"level must be an integer in [0, 20], got {level}")
+    if not 0 < omega < math.inf:   # NaN too
+        raise StateError(f"omega must be positive and finite, got {omega}")
     ell = np.sqrt(grid.hbar / (grid.mass * omega))  # characteristic length
     if ell < 4.0 * grid.dx:
         raise StateError(

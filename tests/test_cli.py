@@ -470,3 +470,28 @@ def test_every_experiment_ends_in_an_exit_code(tmp_path, capsys, n, kind):
     assert out.exists() == (code == 0)
     if n % 2 and kind != "ehrenfest":
         assert code == 3 and f"n = {n}" in capsys.readouterr().err
+
+
+# experiment kind -> every artifact its run writes
+ARTIFACTS = {"validate": ["validation.csv", "validation.json"],
+             "evolve": ["final.wig1", "series.csv"]}
+
+
+@pytest.mark.parametrize("fmt,suffix", [("json", ".json"), ("csv", ".csv"),
+                                        ("binary", ".wig1")])
+@pytest.mark.parametrize("kind", ARTIFACTS)
+def test_formats_filter_the_artifacts(tmp_path, kind, fmt, suffix):
+    """Only the artifacts of the asked format are written and listed;
+    manifest.json and timing.json always are."""
+    path = tmp_path / "formats.yaml"
+    path.write_text(f"grid: {{n: 32, square: true}}\n"
+                    f"state: {{kind: gaussian, sigma: 0.7}}\n"
+                    f"formats: [{fmt}]\n"
+                    f"experiment:\n  kind: {kind}\n{EXPERIMENTS[kind]}")
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--output", str(out)]) == 0
+    expected = [name for name in ARTIFACTS[kind] if name.endswith(suffix)]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == expected
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        expected + ["manifest.json", "timing.json"])

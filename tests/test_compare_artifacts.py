@@ -40,3 +40,14 @@ def test_csv_numeric_cells(tmp_path):
                     "max |diff| 2.500e-01; 1 other cells differ")
     assert verdict(tmp_path, "s.csv", "t,x\n0,1.5\n", "t,x\n") \
         == "bytes differ, shape differs (2 -> 1 rows)"
+
+
+def test_source_lines_counts_each_trees_package(tmp_path):
+    for tree, texts in (("base", ["a\nb\n", "c\n"]), ("work", ["a\n"])):
+        package = tmp_path / tree / "src" / "wignerlab"
+        package.mkdir(parents=True)
+        for i, text in enumerate(texts):
+            (package / f"m{i}.py").write_text(text)
+        (package / "notes.txt").write_text("not\ncounted\n")
+    assert compare_artifacts.source_lines(tmp_path / "base") == 3
+    assert compare_artifacts.source_lines(tmp_path / "work") == 1

@@ -39,6 +39,21 @@ def test_gaussian_rejects_nonpositive_sigma(grid256):
         gaussian_packet(grid256, 0.0, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("build,name", [
+    (lambda g: gaussian_packet(g, 0.0, 0.0, np.nan), "sigma"),
+    (lambda g: gaussian_packet(g, np.nan, 0.0, 1.0), "x0"),
+    (lambda g: gaussian_packet(g, 0.0, -np.inf, 1.0), "p0"),
+    (lambda g: harmonic_eigenstate(g, 0, np.nan), "omega"),
+    (lambda g: harmonic_eigenstate(g, np.nan, 1.0), "level"),
+    (lambda g: harmonic_eigenstate(g, 1.5, 1.0), "level"),
+])
+def test_bad_state_parameters_are_named(grid256, build, name):
+    """NaN used to pass the gates and fail late in normalization (or, for
+    the level, in a TypeError), with no parameter named."""
+    with pytest.raises(StateError, match=name):
+        build(grid256)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     x0=st.floats(min_value=-3.0, max_value=3.0),

@@ -17,8 +17,9 @@ difference of its numbers where they pair up:
     key path found on one side only and every leaf that differs;
   - CSV files of equal shape: the cells that parse as numbers on both
     sides, counting the other cells that differ.
-timing.json holds wall-clock times and is not compared.  Exits 1 if any
-file differs or any scenario fails on either side.
+timing.json holds wall-clock times and is not compared.  The last line
+also gives the line counts of src/wignerlab in both trees.  Exits 1 if
+any file differs or any scenario fails on either side.
 """
 
 import argparse
@@ -70,6 +71,12 @@ def run_tree(tree: Path, out: Path, configs) -> dict:
         code, label = line.split(" ", 1)
         codes[label] = int(code)
     return codes
+
+
+def source_lines(tree: Path) -> int:
+    """Lines of the Python files in tree's src/wignerlab, as wc -l counts."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "wignerlab").glob("*.py"))
 
 
 def read_payload(path: Path) -> np.ndarray:
@@ -219,8 +226,10 @@ def main(argv=None) -> int:
         base_codes = run_tree(base_tree, base_out, configs)
         work_codes = run_tree(ROOT, work_out, configs)
         clean = compare(base_out, work_out, base_codes, work_codes)
+        lines = source_lines(base_tree), source_lines(ROOT)
     print(f"base {args.base}: " + ("every artifact byte-identical" if clean
-                                   else "differences above"))
+                                   else "differences above")
+          + f"; src/wignerlab {lines[0]:,} → {lines[1]:,} lines")
     return 0 if clean else 1
 
 
