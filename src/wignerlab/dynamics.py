@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import MonitorError, PropagationError
+from .errors import MonitorError, PropagationError, StateError
 from .grid import PhaseGrid
 from .observables import expectation_operator
 from .potentials import Potential
@@ -77,8 +77,8 @@ def sample_steps(sample_times, dt: float, t0: float = 0.0,
     return counts
 
 
-def boundary_mass(values: np.ndarray, axes=(0,)) -> float:
-    """Fraction of |field| mass in the outer 5% of the given axes."""
+def boundary_mass(values: np.ndarray) -> float:
+    """Fraction of |field| mass in the outer 5% of every axis."""
     magnitude = np.abs(values)
     total = float(np.sum(magnitude))
     if total == 0.0:
@@ -86,7 +86,7 @@ def boundary_mass(values: np.ndarray, axes=(0,)) -> float:
     # sum the edge slabs of a shrinking interior, so no cell counts twice
     inner = [slice(None)] * magnitude.ndim
     edge_sum = 0.0
-    for ax in axes:
+    for ax in range(magnitude.ndim):
         n = magnitude.shape[ax]
         edge = max(1, n // 20)
         upper = max(edge, n - edge)
@@ -163,7 +163,7 @@ def propagate_schrodinger(psi: Wavefunction, potential: Potential,
         a_phase=lambda tau: np.exp(-1j * p_op ** 2 * tau
                                    / (2.0 * g.mass * g.hbar)),
         kick=lambda s: s * pot_full, readings=readings,
-        boundary=lambda s: boundary_mass(np.abs(s) ** 2, (0,)),
+        boundary=lambda s: boundary_mass(np.abs(s) ** 2),
         flags=boundary_flags)
     return Wavefunction(g, samples, psi.t + steps * dt)
 
@@ -180,7 +180,9 @@ def _shear_phase(g: PhaseGrid, tau: float) -> np.ndarray:
 def _phase_space_split(route: str, w: WignerFunction, kernel, dt: float,
                        steps: int, flags: list | None) -> WignerFunction:
     """Shear-kick-shear evolution, each a real-FFT pair; the kick is
-    exp(-i dt kernel / hbar), with the kernel odd in x' bit for bit."""
+    exp(-i dt kernel / hbar) in x'.  W is real, so the pair takes the
+    multiplier at -x' as the conjugate of that at x': set-up checks that
+    the kernel is odd in x' bit for bit, else MonitorError at step 0."""
     _check_steps(dt, steps)
     if steps == 0:
         return w
@@ -188,22 +190,17 @@ def _phase_space_split(route: str, w: WignerFunction, kernel, dt: float,
     if g.n % 2:
         raise PropagationError(
             f"phase-space evolution needs an even sample count, got {g.n}")
-    half_sep = 0.5 * (np.arange(g.n) - g.n // 2)[None, :] * g.dx
-    kick_phase = np.exp(-1j * dt / g.hbar * kernel(g.x[:, None], half_sep))
-    # x' = -L/2 has no mirror bin: a factor 1 keeps the kick Hermitian
-    kick_phase[:, 0] = 1.0
-    # For even n the centering shifts of the p <-> x' transform pair
-    # cancel around the kick, up to this reordering of the multiplier.
-    kick_phase = np.fft.ifftshift(kick_phase, axes=1)
-    # W real: irfft(rfft(W) conj(K)) is fft(ifft(W) K) if column -k of K
-    # is conj(column k); a real pair drops the rest, so check it exactly
-    mirror = -np.arange(g.n // 2 + 1)
-    half = kick_phase[:, :g.n // 2 + 1].conj()
-    if not np.array_equal(kick_phase[:, mirror], half):
-        raise MonitorError(route, 0, w.t, "kick multiplier asymmetry in x'",
-                           float(np.max(np.abs(kick_phase[:, mirror] - half))),
-                           0.0)
-    kick_phase = half
+    x = g.x[:, None]
+    # real-FFT column c along p is x' = c dx: for even n p's centring cancels
+    half_sep = 0.5 * np.arange(g.n // 2)[None, :] * g.dx
+    kick_kernel = kernel(x, half_sep)
+    odd_defect = kernel(x, -half_sep) + kick_kernel
+    if not np.all(odd_defect == 0.0):   # NaN too
+        raise MonitorError(route, 0, w.t, "kick kernel asymmetry in x'",
+                           float(np.max(np.abs(odd_defect))), 0.0)
+    # x' = -L/2, the last column, has no mirror: a factor 1 keeps it real
+    kick_phase = np.ones((g.n, g.n // 2 + 1), dtype=complex)
+    kick_phase[:, :-1] = np.exp(-1j * dt / g.hbar * kick_kernel).conj()
     total0 = w.total()
 
     def readings(values, spec):
@@ -226,7 +223,7 @@ def _phase_space_split(route: str, w: WignerFunction, kernel, dt: float,
         forward=lambda v: np.fft.rfft(v, axis=0, out=x_spectrum),
         inverse=lambda spec: np.fft.irfft(spec, g.n, axis=0, out=plane),
         a_phase=lambda tau: _shear_phase(g, tau), kick=kick,
-        readings=readings, boundary=lambda v: boundary_mass(v, (0, 1)),
+        readings=readings, boundary=boundary_mass,
         flags=flags)
     return WignerFunction(g, values, w.t + steps * dt)
 
@@ -315,7 +312,7 @@ def propagate_characteristic(z: CharacteristicZ, potential: Potential,
         "characteristic", z.values, z.t, dt, steps,
         forward=np.fft.fft2, inverse=np.fft.ifft2, a_phase=kinetic,
         kick=lambda values: values * pot_full, readings=readings,
-        boundary=lambda values: boundary_mass(values, (0, 1)),
+        boundary=boundary_mass,
         flags=boundary_flags)
     return CharacteristicZ(g, values, z.t + steps * dt)
 
@@ -381,7 +378,7 @@ def cross_validate(psi0: Wavefunction, potential: Potential, t_final: float,
             float(np.sum(np.abs(psi_a.samples) ** 2) * g.dx - 1.0))
         report.energy_drift.append(
             expectation_operator(psi_a, "H", potential) - energy0)
-        report.boundary.append(boundary_mass(w_b.values, (0, 1)))
+        report.boundary.append(boundary_mass(w_b.values))
         report.factorization_residual.append(residual)
     report.boundary_flagged = bool(flags)
     return report
@@ -394,6 +391,13 @@ def classical_trajectory(x0: float, p0: float, potential: Potential,
     Returns rows (t, x, p) at the times of t_grid in increasing order,
     each a whole number of steps after the previous (see sample_steps).
     """
+    if not (math.isfinite(x0) and math.isfinite(p0)):
+        raise StateError(f"classical trajectory needs finite x0 and p0, "
+                         f"got x0={x0}, p0={p0}")
+    if not 0 < mass < math.inf:   # NaN too
+        raise StateError(f"classical trajectory needs a finite mass > 0, "
+                         f"got mass={mass}")
+
     def rhs(x, p):
         return p / mass, -potential.derivative(x, 1)
 

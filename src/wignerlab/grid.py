@@ -74,6 +74,8 @@ class PhaseGrid:
 def make_grid(n: int, x_min: float, x_max: float,
               hbar: float = 1.0, mass: float = 1.0) -> PhaseGrid:
     """Construct a validated PhaseGrid (see PhaseGrid for conventions)."""
+    if not isinstance(n, (int, np.integer)):   # int() would truncate 100.9
+        raise GridError(f"grid.n must be an integer, got {n!r}")
     return PhaseGrid(n=int(n), x_min=float(x_min), x_max=float(x_max),
                      hbar=float(hbar), mass=float(mass))
 

@@ -90,10 +90,12 @@ def expectation_phase_space(w: WignerFunction, poly: dict) -> float:
     g = w.grid
     acc = 0.0
     for (i, j), coeff in poly.items():
-        if i < 0 or j < 0 or i + j > MAX_POLY_DEGREE:
+        if not (isinstance(i, (int, np.integer))
+                and isinstance(j, (int, np.integer))
+                and i >= 0 and j >= 0 and i + j <= MAX_POLY_DEGREE):
             raise StateError(
                 f"monomial x^{i} p^{j} outside supported degree "
-                f"(total degree <= {MAX_POLY_DEGREE})")
+                f"(integer exponents, total degree <= {MAX_POLY_DEGREE})")
         acc += coeff * float((g.x ** i) @ w.values @ (g.p ** j))
     return acc * g.dx * g.dp
 

@@ -40,8 +40,9 @@ class Potential:
 
     def derivative(self, x, order: int = 1):
         """Exact derivative of the requested order, evaluated at x."""
-        if order < 0:
-            raise PotentialError("derivative order must be >= 0")
+        if not (isinstance(order, (int, np.integer)) and order >= 0):
+            raise PotentialError(
+                f"derivative order must be >= 0 and an integer, got {order}")
         der = np.polynomial.polynomial.polyder(self.coefficients, m=order)
         return np.polynomial.polynomial.polyval(x, der)
 
@@ -63,7 +64,12 @@ def harmonic(omega: float, mass: float = 1.0) -> Potential:
     if not (omega > 0 and mass > 0):   # NaN too
         raise PotentialError("harmonic potential needs omega > 0 and "
                              f"mass > 0, got omega={omega}, mass={mass}")
-    return Potential((0.0, 0.0, 0.5 * mass * omega ** 2), tag="harmonic")
+    try:
+        return Potential((0.0, 0.0, 0.5 * mass * omega ** 2), tag="harmonic")
+    except (OverflowError, PotentialError):
+        raise PotentialError(
+            "harmonic potential m omega^2 / 2 is out of range, got "
+            f"omega={omega}, mass={mass}") from None
 
 
 def quartic(lam: float) -> Potential:

@@ -294,8 +294,8 @@ def builtin_config(name: str) -> ScenarioConfig:
 # name once the runner has returned, if the scenario asks for the format
 # its suffix picks: .json (json), .csv (csv) or .wig1 (binary).
 
-def _monitors(drift, values, axes=(0, 1)) -> dict:
-    return {"norm_drift": drift, "boundary_mass": boundary_mass(values, axes)}
+def _monitors(drift, values) -> dict:
+    return {"norm_drift": drift, "boundary_mass": boundary_mass(values)}
 
 
 def _run_wigner(grid, psi, potential, save):
@@ -323,8 +323,7 @@ def _run_moments(grid, psi, potential, save):
     save("moments.csv", ("moment", "operator_route", "phase_space_route"),
          [(key, operator_route[key], phase_route[key])
           for key in operator_route])
-    return metrics, _monitors(norm(psi) ** 2 - 1.0,
-                              np.abs(psi.samples) ** 2, (0,))
+    return metrics, _monitors(norm(psi) ** 2 - 1.0, np.abs(psi.samples) ** 2)
 
 
 ROUTES = ("schrodinger", "moyal", "characteristic", "truncated")
@@ -422,7 +421,7 @@ def _run_ehrenfest(grid, psi, potential, save, dt, t_grid):
                            "force_at_mean", "classical_x", "classical_p"),
          [tuple(row) for row in table])
     return metrics, _monitors(norm(final) ** 2 - 1.0,
-                              np.abs(final.samples) ** 2, (0,))
+                              np.abs(final.samples) ** 2)
 
 
 # section.key -> check, for every key that is not a plain number

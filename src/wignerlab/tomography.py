@@ -33,6 +33,7 @@ __all__ = ["Tomogram", "forward_tomogram", "inverse_tomogram"]
 CLIP_FLOOR = -1e-5
 FAN_TOL = 1e-9       # allowed departure of a frame angle from i pi/n_frames
 ROLLOFF_START = 0.8  # raised-cosine roll-off begins at this Nyquist fraction
+PAD_FACTOR = 4       # zero padding of each projection before filtering
 
 # Gridding in both directions: fine-grid points covered by the kernel
 # per axis, its shape parameter, and the oversampling of the fine grid.
@@ -128,7 +129,7 @@ def forward_tomogram(w: WignerFunction, angles) -> Tomogram:
     if not angles:
         raise TomographyError("empty angle list")
     for t in angles:
-        if t < 0.0 or t >= np.pi:
+        if not 0.0 <= t < np.pi:   # NaN too
             raise TomographyError(f"angle {t} outside [0, pi)")
     g = w.grid
     _require_square(g)
@@ -184,16 +185,16 @@ def _ramp_filter(k: np.ndarray, dk: float, k_nyquist: float) -> np.ndarray:
     return filt
 
 
-def inverse_tomogram(tomo: Tomogram, target_grid: PhaseGrid,
-                     pad_factor: int = 4) -> WignerFunction:
+def inverse_tomogram(tomo: Tomogram, target_grid: PhaseGrid) -> WignerFunction:
     """Filtered back-projection of a tomogram onto a phase-space grid.
 
     Each frame is weighted by pi/n_frames, so the frame angles must be
-    i pi/n_frames.  Each projection is ramp-filtered in its quadrature
-    frequency; the back-projection  sum_k c_k exp(-i k (x mu + p nu))  is
-    evaluated on the lattice by gridding (a type-1 non-uniform FFT).  The
-    profile is real and the filter even, so c_-k = conj(c_k): only k >= 0
-    is spread, from a real FFT, with 2 c_k for k > 0; the grid offset of
+    i pi/n_frames.  Each projection is zero-padded to PAD_FACTOR times
+    its length and ramp-filtered in its quadrature frequency; the
+    back-projection  sum_k c_k exp(-i k (x mu + p nu))  is evaluated on
+    the lattice by gridding (a type-1 non-uniform FFT).  The profile is
+    real and the filter even, so c_-k = conj(c_k): only k >= 0 is
+    spread, from a real FFT, with 2 c_k for k > 0; the grid offset of
     the target is folded into the coefficients.  Each frame is spread
     onto a 2n x 2n periodic grid with a 14-point exponential of
     semicircle kernel, the grid is transformed along x and then along p,
@@ -204,7 +205,7 @@ def inverse_tomogram(tomo: Tomogram, target_grid: PhaseGrid,
 
     The ramp filter's slowly decaying spatial tail (~ -1/X^2) aliases on
     the periodic synthesis window into a flat sheet proportional to
-    1/pad_factor^2; since admissible states vanish at the grid boundary,
+    1/PAD_FACTOR^2; since admissible states vanish at the grid boundary,
     that sheet is estimated from the boundary ring and subtracted before
     the output is normalized to unit integral.
     """
@@ -224,9 +225,9 @@ def inverse_tomogram(tomo: Tomogram, target_grid: PhaseGrid,
 
     x_axis = tomo.x_axis
     d_x = tomo.dx
-    n_pad = pad_factor * len(x_axis)
+    n_pad = PAD_FACTOR * len(x_axis)
     dk = 2.0 * np.pi / (n_pad * d_x)
-    k = dk * np.arange((n_pad + 1) // 2)  # Nyquist has zero filter weight
+    k = dk * np.arange(n_pad // 2)  # Nyquist has zero filter weight
     dtheta = np.pi / n_frames
     # hat_w(k) = dX sum_m w_m exp(+i k X_m) = dX exp(i k X_0) conj(rfft)
     gain = (_ramp_filter(k, dk, np.pi / d_x) * np.where(k > 0, 2.0, 1.0)

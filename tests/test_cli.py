@@ -439,9 +439,9 @@ def test_ehrenfest_monitors_describe_the_evolved_state(tmp_path):
     psi = gaussian_packet(make_grid(128, -8.0, 8.0), 0.0, 2.0, 1.0)
     final = propagate_schrodinger(psi, free_particle(), 0.01, 100)
     assert monitors == _monitors(norm(final) ** 2 - 1.0,
-                                 np.abs(final.samples) ** 2, (0,))
+                                 np.abs(final.samples) ** 2)
     assert monitors["boundary_mass"] > 1e3 * boundary_mass(
-        np.abs(psi.samples) ** 2, (0,))
+        np.abs(psi.samples) ** 2)
 
 
 EXPERIMENTS = {

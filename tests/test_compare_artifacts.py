@@ -51,3 +51,14 @@ def test_source_lines_counts_each_trees_package(tmp_path):
         (package / "notes.txt").write_text("not\ncounted\n")
     assert compare_artifacts.source_lines(tmp_path / "base") == 3
     assert compare_artifacts.source_lines(tmp_path / "work") == 1
+
+
+def test_parameter_diff_counts_and_names_one_sided_parameters():
+    base = {"f": ["a", "b"], "g": ["x"], "gone": ["y"], "Error": []}
+    work = {"f": ["a"], "g": ["x", "z"], "new": ["w"], "Error": []}
+    assert compare_artifacts.parameter_diff(base, work) == [
+        "public parameters 4 → 4",
+        "removed: f(b), gone(y)",
+        "added: g(z), new(w)"]
+    assert compare_artifacts.parameter_diff(base, base) == [
+        "public parameters 4 → 4"]

@@ -55,6 +55,18 @@ def test_non_finite_grid_parameters_rejected(kwargs):
         make_grid(**{"n": 64, "x_min": -8.0, "x_max": 8.0, **kwargs})
 
 
+@pytest.mark.parametrize("n", [100.9, 64.0, np.nan, np.inf, "64"])
+def test_non_integer_n_rejected(n):
+    """make_grid(100.9, ...) used to truncate to n = 100, and NaN raised
+    a bare ValueError."""
+    with pytest.raises(GridError, match="must be an integer"):
+        make_grid(n, -8.0, 8.0)
+
+
+def test_numpy_integer_n_accepted():
+    assert make_grid(np.int64(64), -8.0, 8.0) == make_grid(64, -8.0, 8.0)
+
+
 def test_square_grid_has_equal_spacings():
     g = square_grid(128, hbar=0.5)
     assert g.dx == pytest.approx(g.dp, rel=1e-15)

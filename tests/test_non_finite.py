@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wignerlab import (CharacteristicZ, PotentialError, Tomogram,
-                       Wavefunction, WignerlabError, double_well,
-                       gaussian_packet, harmonic, harmonic_eigenstate,
-                       make_grid, polynomial, propagate_characteristic,
-                       propagate_moyal_exact, propagate_moyal_truncated,
-                       propagate_schrodinger, quartic, superpose,
-                       to_characteristic, wigner_transform)
+                       Wavefunction, WignerlabError, classical_trajectory,
+                       double_well, forward_tomogram, gaussian_packet,
+                       harmonic, harmonic_eigenstate, make_grid, polynomial,
+                       propagate_characteristic, propagate_moyal_exact,
+                       propagate_moyal_truncated, propagate_schrodinger,
+                       quartic, square_grid, superpose, to_characteristic,
+                       wigner_transform)
 
 N = 32
 GRID = make_grid(N, -6.0, 6.0)
@@ -24,6 +25,7 @@ Z = to_characteristic(W)
 LEFT = gaussian_packet(GRID, -0.5, 0.0, 1.0)
 RIGHT = gaussian_packet(GRID, 0.5, 0.0, 1.0)
 WIDE = make_grid(64, -8.0, 8.0)   # resolves the omega = 1 eigenstates
+SQUARE = wigner_transform(gaussian_packet(square_grid(N), 0.0, 0.0, 1.0))
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
@@ -43,15 +45,16 @@ def numbers(state) -> np.ndarray:
        value=st.sampled_from((None, *NON_FINITE, complex(0.0, math.inf))),
        omega=maybe(1.0), lam=maybe(0.1), a=maybe(-1.0), b=maybe(0.5),
        c=maybe(0.2), x0=maybe(0.5), p0=maybe(0.3), sigma=maybe(1.0),
-       level=maybe(2))
+       level=maybe(2), n=maybe(N), mass=maybe(1.0), angle=maybe(0.5))
 def test_non_finite_input_raises_or_stays_finite(
         x_min, x_max, re, im, mu, nu, dt, entry, value, omega, lam, a, b, c,
-        x0, p0, sigma, level):
-    """Bounds, a coefficient, a frame, each route's dt, one kernel entry
-    (value None leaves the kernel as it is), and every scalar of the
-    potential and state constructors."""
+        x0, p0, sigma, level, n, mass, angle):
+    """Bounds and n of a grid, a coefficient, a frame, each route's dt,
+    one kernel entry (value None leaves the kernel as it is), every
+    scalar of the potential and state constructors and of a classical
+    trajectory, and a tomogram angle."""
     def grid():
-        g = make_grid(N, x_min, x_max)
+        g = make_grid(n, x_min, x_max)
         return g.x, g.p
 
     def superposition():
@@ -76,6 +79,9 @@ def test_non_finite_input_raises_or_stays_finite(
              lambda: (polynomial([1.0, c]).coefficients,),
              lambda: (gaussian_packet(GRID, x0, p0, sigma).samples,),
              lambda: (harmonic_eigenstate(WIDE, level, omega).samples,),
+             lambda: (classical_trajectory(x0, p0, harmonic(1.0), [0.02],
+                                           0.01, mass),),
+             lambda: (forward_tomogram(SQUARE, [0.0, angle]).values,),
              lambda: (Tomogram(((mu, nu),), GRID.x, np.ones((1, N))).frames,),
              route(propagate_schrodinger, PSI), route(propagate_moyal_exact, W),
              route(propagate_moyal_truncated, W, n_max=1),
@@ -93,11 +99,14 @@ def test_non_finite_input_raises_or_stays_finite(
 @pytest.mark.parametrize("build", [
     lambda: harmonic(math.nan), lambda: quartic(math.inf),
     lambda: polynomial([0.0, math.nan]), lambda: double_well(math.nan, 1.0),
-    lambda: harmonic(1.0).derivative(0.0, -1)],
-    ids=["harmonic", "quartic", "polynomial", "double_well", "derivative"])
+    lambda: harmonic(1.0).derivative(0.0, -1),
+    lambda: harmonic(1.0).derivative(0.0, 1.5)],
+    ids=["harmonic", "quartic", "polynomial", "double_well", "derivative",
+         "fractional-order"])
 def test_potential_errors_are_wignerlab_errors(build):
-    """These raised a bare ValueError, which a caller catching
-    WignerlabError missed; scenarios still turn it into ConfigError."""
+    """These raised a bare ValueError (TypeError for order 1.5), which a
+    caller catching WignerlabError missed; scenarios still turn it into
+    ConfigError."""
     with pytest.raises(PotentialError) as caught:
         build()
     assert isinstance(caught.value, WignerlabError)

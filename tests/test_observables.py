@@ -66,6 +66,14 @@ def test_phase_space_degree_cap(grid256):
         expectation_phase_space(w, {(3, 2): 1.0})
 
 
+@pytest.mark.parametrize("powers", [(0.5, 0), (1, 1.5), (np.nan, 0)])
+def test_phase_space_exponents_must_be_integers(grid256, powers):
+    """x^0.5 used to give nan instead of an error."""
+    w = wigner_transform(gaussian_packet(grid256, 0, 0, 1.0))
+    with pytest.raises(StateError, match="integer exponents"):
+        expectation_phase_space(w, {powers: 1.0})
+
+
 def test_dual_route_moments_agree(battery256):
     for name, psi in battery256:
         op = moments(psi).as_dict()
@@ -155,6 +163,17 @@ def test_classical_trajectory_energy_drift():
 def test_classical_trajectory_rejects_bad_dt():
     with pytest.raises(PropagationError, match="nonpositive step"):
         classical_trajectory(0.0, 0.0, harmonic(1.0), [1.0], 0.0)
+
+
+@pytest.mark.parametrize("x0, p0, mass, name", [
+    (np.nan, 0.0, 1.0, "x0"), (np.inf, 0.0, 1.0, "x0"),
+    (0.0, -np.inf, 1.0, "p0"), (0.0, np.nan, 1.0, "p0"),
+    (0.0, 0.0, np.nan, "mass"), (0.0, 0.0, 0.0, "mass"),
+    (0.0, 0.0, -1.0, "mass"), (0.0, 0.0, np.inf, "mass")])
+def test_classical_trajectory_rejects_bad_scalars(x0, p0, mass, name):
+    """These returned rows of NaN, or (mass 0) raised ZeroDivisionError."""
+    with pytest.raises(StateError, match=f"{name}="):
+        classical_trajectory(x0, p0, harmonic(1.0), [1.0], 0.01, mass)
 
 
 def test_classical_trajectory_rejects_unreachable_time():

@@ -1,11 +1,13 @@
 """Catalog potentials: degree, exact derivatives of every order against
-closed forms, the force, and the negative-order error."""
+closed forms, the force, the negative-order error and harmonic's overflow."""
+
+import re
 
 import numpy as np
 import pytest
 
-from wignerlab import (double_well, free_particle, harmonic, polynomial,
-                       quartic)
+from wignerlab import (PotentialError, double_well, free_particle, harmonic,
+                       polynomial, quartic)
 
 LAM, A, B, OMEGA, MASS = 0.1, -1.0, 0.25, 1.5, 2.0
 C0, C1, C2, C3 = 1.0, -2.0, 0.5, 0.25
@@ -78,3 +80,14 @@ def test_force_is_minus_the_first_derivative(name, point):
 def test_negative_order_is_rejected(name):
     with pytest.raises(ValueError, match="order must be >= 0"):
         CATALOG[name][0].derivative(1.0, -1)
+
+
+@pytest.mark.parametrize("omega, mass", [
+    (1e200, 1.0), (10 ** 400, 1.0), (1e10, 1e300)],
+    ids=["float-square", "int-square", "product"])
+def test_harmonic_overflow_names_omega(omega, mass):
+    """omega ** 2 on a Python float raised OverflowError; a product
+    beyond the float range raised the coefficient check's message."""
+    with pytest.raises(PotentialError,
+                       match=re.escape(f"omega={omega}, mass={mass}")):
+        harmonic(omega, mass)

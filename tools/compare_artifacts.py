@@ -17,9 +17,11 @@ difference of its numbers where they pair up:
     key path found on one side only and every leaf that differs;
   - CSV files of equal shape: the cells that parse as numbers on both
     sides, counting the other cells that differ.
-timing.json holds wall-clock times and is not compared.  The last line
-also gives the line counts of src/wignerlab in both trees.  Exits 1 if
-any file differs or any scenario fails on either side.
+timing.json holds wall-clock times and is not compared.  The last lines
+give the line counts of src/wignerlab in both trees, the number of
+parameters of the callables in wignerlab.__all__ in both trees, and each
+function(parameter) found in one tree only.  Exits 1 if any file
+differs or any scenario fails on either side.
 """
 
 import argparse
@@ -37,11 +39,12 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIRS = ("bench/configs", "bench/smoke")
 UNCOMPARED = {"timing.json"}
 
-# argv: src dir, output dir, then (label, config path) pairs; prints
+# argv: src dir, output dir, then (label, config path) pairs; prints a
+# JSON line {callable: [parameter, ...]} of wignerlab.__all__, then
 # "<exit code> <label>" per scenario, built-ins first, and sends the
 # CLI's own messages to stderr
 RUNNER = """
-import contextlib, sys
+import contextlib, inspect, json, sys
 from pathlib import Path
 src, out = Path(sys.argv[1]), Path(sys.argv[2])
 sys.path.insert(0, str(src))
@@ -50,6 +53,14 @@ from wignerlab.cli import main
 from wignerlab.scenarios import BUILTIN_SCENARIOS
 if Path(wignerlab.__file__).resolve().parent != src / "wignerlab":
     raise SystemExit(f"wignerlab imported from {wignerlab.__file__}")
+def parameters(obj):
+    try:
+        return list(inspect.signature(obj).parameters)
+    except ValueError:   # exception classes without their own __init__
+        return []
+public = {name: getattr(wignerlab, name) for name in wignerlab.__all__}
+print(json.dumps({name: parameters(obj) for name, obj in public.items()
+                  if callable(obj)}), flush=True)
 runs = [(name, name) for name in sorted(BUILTIN_SCENARIOS)]
 runs += list(zip(sys.argv[3::2], sys.argv[4::2]))
 for label, scenario in runs:
@@ -59,24 +70,38 @@ for label, scenario in runs:
 """
 
 
-def run_tree(tree: Path, out: Path, configs) -> dict:
-    """{label: CLI exit code} of every scenario run with tree's sources."""
+def run_tree(tree: Path, out: Path, configs) -> tuple:
+    """{label: CLI exit code} of every scenario run with tree's sources,
+    and {callable: [parameter, ...]} of its wignerlab.__all__."""
     args = [str(tree / "src"), str(out)]
     for path in configs:
         args += [str(path.relative_to(ROOT).with_suffix("")), str(path)]
     done = subprocess.run([sys.executable, "-c", RUNNER, *args], cwd=out,
                           stdout=subprocess.PIPE, text=True, check=True)
+    signatures, *runs = done.stdout.splitlines()
     codes = {}
-    for line in done.stdout.splitlines():
+    for line in runs:
         code, label = line.split(" ", 1)
         codes[label] = int(code)
-    return codes
+    return codes, json.loads(signatures)
 
 
 def source_lines(tree: Path) -> int:
     """Lines of the Python files in tree's src/wignerlab, as wc -l counts."""
     return sum(path.read_bytes().count(b"\n")
                for path in (tree / "src" / "wignerlab").glob("*.py"))
+
+
+def parameter_diff(base: dict, work: dict) -> list:
+    """Lines counting the parameters of both trees' public callables and
+    naming each function(parameter) found in one tree only."""
+    a, b = ({f"{name}({param})" for name, params in side.items()
+             for param in params} for side in (base, work))
+    lines = [f"public parameters {len(a):,} → {len(b):,}"]
+    for label, names in (("removed", a - b), ("added", b - a)):
+        if names:
+            lines.append(f"{label}: {', '.join(sorted(names))}")
+    return lines
 
 
 def read_payload(path: Path) -> np.ndarray:
@@ -223,13 +248,14 @@ def main(argv=None) -> int:
                                  stdout=subprocess.PIPE, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive,
                        check=True)
-        base_codes = run_tree(base_tree, base_out, configs)
-        work_codes = run_tree(ROOT, work_out, configs)
+        base_codes, base_params = run_tree(base_tree, base_out, configs)
+        work_codes, work_params = run_tree(ROOT, work_out, configs)
         clean = compare(base_out, work_out, base_codes, work_codes)
         lines = source_lines(base_tree), source_lines(ROOT)
     print(f"base {args.base}: " + ("every artifact byte-identical" if clean
                                    else "differences above")
           + f"; src/wignerlab {lines[0]:,} → {lines[1]:,} lines")
+    print("\n".join(parameter_diff(base_params, work_params)))
     return 0 if clean else 1
 
 
