@@ -1,6 +1,9 @@
 """Shared fixtures: reference grids, the standard state battery, and
 independent quadrature oracles used to pin expected values."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,12 @@ from wignerlab import (cat_state, gaussian_packet, harmonic_eigenstate,
                        make_grid, square_grid, two_slit_state)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+# the artifact differ, tools/compare_artifacts.py, loaded as a module
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_artifacts.py"
+_spec = importlib.util.spec_from_file_location("compare_artifacts", _TOOL)
+compare_artifacts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_artifacts)
 
 
 @pytest.fixture(scope="session")

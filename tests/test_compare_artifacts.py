@@ -1,12 +1,6 @@
 """The artifact differ's per-file verdicts (tools/compare_artifacts.py)."""
 
-import importlib.util
-from pathlib import Path
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_artifacts.py"
-spec = importlib.util.spec_from_file_location("compare_artifacts", TOOL)
-compare_artifacts = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(compare_artifacts)
+from conftest import compare_artifacts
 
 
 def verdict(tmp_path, name, base, work):

@@ -1,6 +1,7 @@
 """Compare the artifacts of the working tree with those of another revision.
 
     python3 tools/compare_artifacts.py --base HEAD~
+    python3 tools/compare_artifacts.py --write-reference
 
 Unpacks <base> with `git archive` into a temporary directory, then runs
 every built-in scenario and every config under bench/configs and
@@ -22,6 +23,13 @@ give the line counts of src/wignerlab in both trees, the number of
 parameters of the callables in wignerlab.__all__ in both trees, and each
 function(parameter) found in one tree only.  Exits 1 if any file
 differs or any scenario fails on either side.
+
+--write-reference runs the built-ins with the working tree's sources
+and writes tests/reference/builtins.json, the portable record of their
+numbers that tests/test_reference.py checks with tolerances: every
+numeric manifest leaf, and the sum, L2 norm, max-abs value and a
+strided sample of each WIG1 payload.  A change that moves a built-in's
+number rewrites the file in the same commit.
 """
 
 import argparse
@@ -38,6 +46,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIRS = ("bench/configs", "bench/smoke")
 UNCOMPARED = {"timing.json"}
+REFERENCE = ROOT / "tests" / "reference" / "builtins.json"
+SAMPLE_STRIDE = 509   # prime, so the sample walks across rows and columns
 
 # argv: src dir, output dir, then (label, config path) pairs; prints a
 # JSON line {callable: [parameter, ...]} of wignerlab.__all__, then
@@ -111,6 +121,44 @@ def read_payload(path: Path) -> np.ndarray:
     dims = struct.unpack_from(f"<{rank}Q", blob, 24)
     dtype = "<c16" if flags & 1 else "<f8"
     return np.frombuffer(blob, dtype, offset=24 + 8 * rank + 48).reshape(dims)
+
+
+def reference(out: Path) -> dict:
+    """{scenario: {file: {quantity: number}}} of the scenario folders in
+    out: every numeric leaf of manifest.json, and the sum, L2 norm,
+    max-abs value and every SAMPLE_STRIDE-th number of each WIG1 payload
+    (complex payloads as interleaved real and imaginary parts)."""
+    summary = {}
+    for folder in sorted(path for path in out.iterdir() if path.is_dir()):
+        leaves = json_leaves(json.loads((folder / "manifest.json").read_text()))
+        files = {"manifest.json": {
+            key: value for key, value in leaves.items()
+            if isinstance(value, (int, float)) and not isinstance(value, bool)}}
+        for path in sorted(folder.glob("*.wig1")):
+            values = read_payload(path).ravel().view(np.float64)
+            files[path.name] = {
+                "sum": float(np.sum(values)),
+                "l2": float(np.linalg.norm(values)),
+                "max_abs": float(np.max(np.abs(values))),
+                "sample": values[::SAMPLE_STRIDE].tolist()}
+        summary[folder.name] = files
+    return summary
+
+
+def write_reference() -> int:
+    """Run the built-ins with the working tree's sources and write their
+    reference summary to REFERENCE."""
+    with tempfile.TemporaryDirectory(prefix="reference-") as tmp:
+        codes, _ = run_tree(ROOT, Path(tmp), [])
+        failed = sorted(label for label, code in codes.items() if code)
+        if failed:
+            print(f"built-ins failed: {', '.join(failed)}")
+            return 1
+        REFERENCE.parent.mkdir(exist_ok=True)
+        REFERENCE.write_text(json.dumps(reference(Path(tmp)), indent=1,
+                                        sort_keys=True) + "\n")
+    print(f"wrote {REFERENCE.relative_to(ROOT)} ({len(codes)} built-ins)")
+    return 0
 
 
 def abs_diff(a, b) -> np.ndarray:
@@ -233,9 +281,15 @@ def compare(base_out: Path, work_out: Path, base_codes: dict,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True,
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--base",
                         help="git revision to compare against, e.g. HEAD~")
+    action.add_argument("--write-reference", action="store_true",
+                        help=f"write {REFERENCE.relative_to(ROOT)} from the "
+                             "working tree's built-ins")
     args = parser.parse_args(argv)
+    if args.write_reference:
+        return write_reference()
     configs = sorted(path for folder in CONFIG_DIRS
                      for path in (ROOT / folder).glob("**/*.yaml"))
     with tempfile.TemporaryDirectory(prefix="compare-artifacts-") as tmp:
