@@ -86,6 +86,7 @@ def square_grid(n: int, hbar: float = 1.0, mass: float = 1.0) -> PhaseGrid:
     Tomographic rotations mix the two axes, so equal extents keep the
     rotated content inside the periodic domain for every angle.
     """
+    make_grid(n, -1.0, 1.0, hbar=hbar, mass=mass)   # n and hbar before sqrt
     dx = np.sqrt(2.0 * np.pi * hbar / n)
     half = 0.5 * n * dx
     return make_grid(n, -half, half, hbar=hbar, mass=mass)

@@ -23,7 +23,11 @@ class Potential:
     tag: str = "polynomial"
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
+        try:
+            coeffs = tuple(float(c) for c in self.coefficients)
+        except OverflowError:   # an int beyond the float range
+            raise PotentialError("potential coefficients must be finite; "
+                                 "one is beyond the float range") from None
         if not coeffs:
             coeffs = (0.0,)
         object.__setattr__(self, "coefficients", coeffs)
@@ -74,11 +78,11 @@ def harmonic(omega: float, mass: float = 1.0) -> Potential:
 
 def quartic(lam: float) -> Potential:
     """V(x) = lam * x^4."""
-    return Potential((0.0, 0.0, 0.0, 0.0, float(lam)), tag="quartic")
+    return Potential((0.0, 0.0, 0.0, 0.0, lam), tag="quartic")
 
 
 def double_well(a: float, b: float) -> Potential:
     """V(x) = a x^2 + b x^4 with a < 0 < b."""
     if not (a < 0 < b):
         raise PotentialError(f"double well needs a < 0 < b, got a={a}, b={b}")
-    return Potential((0.0, 0.0, float(a), 0.0, float(b)), tag="double_well")
+    return Potential((0.0, 0.0, a, 0.0, b), tag="double_well")

@@ -77,8 +77,9 @@ def gaussian_packet(grid: PhaseGrid, x0: float, p0: float,
     psi(x) proportional to exp(-(x-x0)^2/(4 sigma^2) + i p0 x / hbar).
     Raises StateError when the +/-5 sigma support leaves the domain.
     """
-    if not 0 < sigma < math.inf:   # NaN too
-        raise StateError(f"sigma must be positive and finite, got {sigma}")
+    if not (0 < sigma < math.inf and sigma * sigma > 0):   # NaN too
+        raise StateError(f"sigma must be positive and finite, with a "
+                         f"square above zero, got {sigma}")
     for name, value in (("x0", x0), ("p0", p0)):
         if not math.isfinite(value):
             raise StateError(f"{name} must be finite, got {value}")

@@ -12,20 +12,18 @@ doubled-resolution auxiliary axis (trigonometric interpolation), so
 psi(x +/- x'/2) lands on sample points and no polynomial interpolation
 is ever used.
 
-The "centered" transform pair maps an array indexed by j' = j - n/2 to
-one indexed by l' = l - n/2:
-
-    F[l] = sum_j  a[j] exp(-2i*pi*(l - n/2)*(j - n/2)/n)
-
-so that physically centered axes (x' = (j - n/2)*dx, p = (l - n/2)*dp)
-transform into each other without explicit phase ramps.
+The correlation C(x, x') = conj(psi(x - x'/2)) psi(x + x'/2) is
+Hermitian in x', so only its columns x' = c*dx, c = 0 .. n/2, are
+built, and the pair over p is numpy's Hermitian FFT pair (hfft,
+ihfft): W is real by type.  The x' = -L/2 column, which has no +L/2
+partner on the periodic axis, enters as the real part of column n/2.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NormalizationError, PurityError, StateError
+from .errors import ConvergenceError, PurityError, StateError
 from .grid import PhaseGrid
 from .states import Wavefunction, check_normalized
 
@@ -36,17 +34,10 @@ __all__ = [
     "purity",
 ]
 
-IMAG_RESIDUE_TOL = 1e-12
 W_NORM_TOL = 1e-6     # allowed |1 - integral W dx dp| of a normalized field
 PURITY_GATE = 0.999
 FACTORIZE_MAX_ITER = 10000   # power-iteration cap
 FACTORIZE_RTOL = 1e-12       # relative eigenvalue change that ends it
-
-
-def centered(transform, a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """np.fft.fft or np.fft.ifft in the centered convention above."""
-    return np.fft.fftshift(
-        transform(np.fft.ifftshift(a, axes=axis), axis=axis), axes=axis)
 
 
 def upsample2(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -123,42 +114,34 @@ class CharacteristicZ:
 
 
 def _correlation_half_axis(psi_samples: np.ndarray, n: int) -> np.ndarray:
-    """C[k, j] = conj(psi(x_k - x'_j/2)) * psi(x_k + x'_j/2).
+    """C[k, c] = conj(psi(x_k - x'_c/2)) * psi(x_k + x'_c/2).
 
-    x'_j = (j - n/2)*dx; psi is first upsampled to the half-step lattice
-    so both factors are on sample points (periodic wrap at the edges).
+    x'_c = c*dx for c = 0 .. n/2; the columns x' < 0 are their mirrors'
+    conjugates bit for bit, since both use the same four real products.
+    psi is first upsampled to the half-step lattice so both factors are
+    on sample points (periodic wrap at the edges).
     """
     fine = upsample2(psi_samples)
     k = np.arange(n)[:, None]
-    off = (np.arange(n) - n // 2)[None, :]
+    off = np.arange(n // 2 + 1)[None, :]
     plus = (2 * k + off) % (2 * n)
     minus = (2 * k - off) % (2 * n)
-    corr = np.conj(fine[minus]) * fine[plus]
-    # x' = -L/2 has no +L/2 partner on the periodic axis; the symmetric
-    # discretization keeps only the Hermitian (real) part of that bin,
-    # which makes the transform exactly real-valued.
-    corr[:, 0] = corr[:, 0].real
-    return corr
+    return np.conj(fine[minus]) * fine[plus]
 
 
 def wigner_transform(psi: Wavefunction) -> WignerFunction:
     """Wigner distribution of a normalized pure state.
 
-    The imaginary residue of the computed field is asserted below
-    1e-12 and then discarded, turning a floating-point nuisance into a
-    correctness check.
+    The Hermitian FFT (hfft) of the correlation's columns x' >= 0 sums
+    over every x', so the field is real by type.
     """
     check_normalized(psi)
     g = psi.grid
     n = g.n
     corr = _correlation_half_axis(psi.samples, n)
-    spec = centered(np.fft.fft, corr, axis=1) \
+    values = np.fft.fftshift(np.fft.hfft(corr, n, axis=1), axes=1) \
         * (g.dx / (2.0 * np.pi * g.hbar))
-    residue = float(np.max(np.abs(spec.imag)))
-    if residue > IMAG_RESIDUE_TOL:
-        raise NormalizationError(
-            f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL}")
-    return WignerFunction(g, np.ascontiguousarray(spec.real), psi.t)
+    return WignerFunction(g, values, psi.t)
 
 
 def marginal_position(w: WignerFunction) -> np.ndarray:
@@ -176,24 +159,28 @@ def to_characteristic(w: WignerFunction) -> CharacteristicZ:
 
     Z(y, y') = integral W((y + y')/2, p) exp(i p (y - y') / hbar) dp.
     The midpoint lands on the doubled-resolution x lattice, so no
-    interpolation is required.
+    interpolation is required.  The inverse Hermitian FFT (ihfft) of W
+    over p gives the correlation's columns x' >= 0; a negative
+    separation takes its mirror's conjugate.
     """
     g = w.grid
     n = g.n
     # inverse of the transform used in wigner_transform: recovers
-    # C[k, j] = conj(psi(x_k - x'_j/2)) psi(x_k + x'_j/2) exactly
-    corr = centered(np.fft.ifft, w.values.astype(complex), axis=1) \
+    # C[k, c] = conj(psi(x_k - x'_c/2)) psi(x_k + x'_c/2), c = 0 .. n/2
+    corr = np.fft.ihfft(np.fft.ifftshift(w.values, axes=1), axis=1) \
         * (2.0 * np.pi * g.hbar / g.dx)
     fine = upsample2(corr, axis=0)  # midpoint axis at spacing dx/2
     a = np.arange(n)[:, None]
     b = np.arange(n)[None, :]
     raw = (a - b) + n // 2
-    sep = raw % n
+    sep = raw % n - n // 2
     # separations beyond +/- L/2 wrap through the periodic boundary,
     # which displaces the consistent midpoint by half the domain
     wrap = (raw // n) % 2
     mid = (a + b + wrap * n) % (2 * n)
-    return CharacteristicZ(g, fine[mid, sep], w.t)
+    values = fine[mid, np.abs(sep)]
+    np.conjugate(values, out=values, where=sep < 0)
+    return CharacteristicZ(g, values, w.t)
 
 
 def purity(w: WignerFunction) -> float:

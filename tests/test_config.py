@@ -127,15 +127,16 @@ def test_unreachable_sample_times_fail_before_output(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
 def test_unrepresentable_packet_fails_before_output(tmp_path, capsys):
     """sigma = 1e-300 underflows 4 sigma^2 to zero; the NaN samples it
-    left used to pass the norm checks and run to exit 0."""
+    left used to pass the norm checks and run to exit 0, and later failed
+    on a NaN norm after numpy warnings. The sigma gate names it first."""
     path = write_config(tmp_path, doc_with(
         state={"kind": "gaussian", "sigma": 1e-300}))
     out = tmp_path / "o"
-    with np.errstate(all="ignore"):
-        assert main(["run", str(path), "--output", str(out)]) == 3
-    assert "norm nan" in capsys.readouterr().err
+    assert main(["run", str(path), "--output", str(out)]) == 3
+    assert "sigma" in capsys.readouterr().err
     assert not out.exists()
 
 

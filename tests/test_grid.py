@@ -67,6 +67,17 @@ def test_numpy_integer_n_accepted():
     assert make_grid(np.int64(64), -8.0, 8.0) == make_grid(64, -8.0, 8.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, hbar, name", [
+    (0, 1.0, "grid.n"), (8, -1.0, "grid.hbar"), (8, np.nan, "grid.hbar")])
+def test_square_grid_names_a_bad_n_or_hbar(n, hbar, name):
+    """square_grid took sqrt(2 pi hbar / n) before checking either: n = 0
+    raised ZeroDivisionError, and hbar = -1 warned in sqrt and then named
+    x_min."""
+    with pytest.raises(GridError, match=name):
+        square_grid(n, hbar=hbar)
+
+
 def test_square_grid_has_equal_spacings():
     g = square_grid(128, hbar=0.5)
     assert g.dx == pytest.approx(g.dp, rel=1e-15)

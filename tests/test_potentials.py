@@ -91,3 +91,13 @@ def test_harmonic_overflow_names_omega(omega, mass):
     with pytest.raises(PotentialError,
                        match=re.escape(f"omega={omega}, mass={mass}")):
         harmonic(omega, mass)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: quartic(10 ** 400), lambda: double_well(-10 ** 400, 1.0),
+    lambda: polynomial([10 ** 400])], ids=["quartic", "double_well",
+                                           "polynomial"])
+def test_int_coefficient_beyond_float_range(build):
+    """float() of such an int raised a bare OverflowError."""
+    with pytest.raises(PotentialError, match="beyond the float range"):
+        build()

@@ -54,6 +54,19 @@ def test_bad_state_parameters_are_named(grid256, build, name):
         build(grid256)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", [
+    lambda g: gaussian_packet(g, 0.0, 0.0, 1e-300),
+    lambda g: cat_state(g, 2.0, 1e-300),
+    lambda g: two_slit_state(g, 4.0, 1e-300)],
+    ids=["gaussian_packet", "cat_state", "two_slit_state"])
+def test_sigma_whose_square_underflows_is_named(grid256, build):
+    """4 sigma^2 == 0 used to warn in divide and fail in normalization
+    with a NaN norm, naming no parameter."""
+    with pytest.raises(StateError, match="sigma"):
+        build(grid256)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     x0=st.floats(min_value=-3.0, max_value=3.0),

@@ -11,6 +11,8 @@ from wignerlab import (CharacteristicZ, ConvergenceError, NormalizationError,
                        reconstruct_wavefunction, square_grid,
                        to_characteristic, wigner_transform)
 from wignerlab.observables import purity
+from wignerlab.states import normalized
+from wignerlab.wigner import upsample2
 
 from conftest import (SQRT_HALF, fidelity, gaussian_psi, gaussian_wigner,
                       wigner_quadrature)
@@ -222,3 +224,71 @@ def test_transform_invariants_property(x0, p0, sigma):
     assert np.max(np.abs(w.values)) <= 1.0 / np.pi + 1e-9
     # Gaussian Wigner functions are nonnegative
     assert w.values.min() >= -1e-9
+
+
+def _centered(transform, a):
+    """np.fft.fft or ifft along axis 1, from and to arrays indexed by
+    j - n/2."""
+    return np.fft.fftshift(
+        transform(np.fft.ifftshift(a, axes=1), axis=1), axes=1)
+
+
+def _full_width_transform(psi):
+    """The complex Wigner transform over all n columns x' = (j - n/2) dx,
+    which the Hermitian half-axis transform replaced, with its imaginary
+    residue kept: the x' = -L/2 column, which has no +L/2 partner, keeps
+    only its real part."""
+    g, n = psi.grid, psi.grid.n
+    fine = upsample2(psi.samples)
+    k = np.arange(n)[:, None]
+    off = (np.arange(n) - n // 2)[None, :]
+    corr = np.conj(fine[(2 * k - off) % (2 * n)]) * fine[(2 * k + off) % (2 * n)]
+    corr[:, 0] = corr[:, 0].real
+    return _centered(np.fft.fft, corr) * (g.dx / (2.0 * np.pi * g.hbar))
+
+
+def _full_width_characteristic(w):
+    """The kernel that the complex inverse over all n columns of x' took
+    from w, which the Hermitian half-axis inverse replaced."""
+    g, n = w.grid, w.grid.n
+    corr = _centered(np.fft.ifft, w.values.astype(complex)) \
+        * (2.0 * np.pi * g.hbar / g.dx)
+    fine = upsample2(corr, axis=0)
+    a = np.arange(n)[:, None]
+    b = np.arange(n)[None, :]
+    raw = (a - b) + n // 2
+    wrap = (raw // n) % 2
+    return fine[(a + b + wrap * n) % (2 * n), raw % n]
+
+
+def _assert_matches_full_width(psi):
+    w = wigner_transform(psi)
+    spec = _full_width_transform(psi)
+    assert np.max(np.abs(spec.imag)) < 1e-12
+    assert np.max(np.abs(w.values - spec.real)) <= 1e-15
+    z = to_characteristic(w)
+    assert np.max(np.abs(z.values - _full_width_characteristic(w))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [8, 64, 130, 256])
+def test_hermitian_pair_matches_full_width_pair_on_random_states(n):
+    """Random samples are not band-limited, so the unpaired x' = -L/2
+    column carries mass, which the Hermitian transform reads from its
+    +L/2 mirror."""
+    g = make_grid(n, -8.0, 8.0)
+    rng = np.random.default_rng(n)
+    samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+    _assert_matches_full_width(normalized(Wavefunction(g, samples)))
+
+
+def test_hermitian_pair_matches_full_width_pair_on_battery(battery256):
+    for _, psi in battery256:
+        _assert_matches_full_width(psi)
+
+
+def test_odd_sample_count_rejected():
+    g = make_grid(65, -8.0, 8.0)
+    with pytest.raises(StateError, match="even sample count"):
+        wigner_transform(gaussian_packet(g, 0.0, 0.0, 1.0))
+    with pytest.raises(StateError, match="even sample count"):
+        to_characteristic(WignerFunction(g, np.zeros((65, 65))))

@@ -29,7 +29,7 @@ and writes tests/reference/builtins.json, the portable record of their
 numbers that tests/test_reference.py checks with tolerances: every
 numeric manifest leaf, and the sum, L2 norm, max-abs value and a
 strided sample of each WIG1 payload.  A change that moves a built-in's
-number rewrites the file in the same commit.
+number beyond those tolerances rewrites the file in the same commit.
 """
 
 import argparse
@@ -154,7 +154,6 @@ def write_reference() -> int:
         if failed:
             print(f"built-ins failed: {', '.join(failed)}")
             return 1
-        REFERENCE.parent.mkdir(exist_ok=True)
         REFERENCE.write_text(json.dumps(reference(Path(tmp)), indent=1,
                                         sort_keys=True) + "\n")
     print(f"wrote {REFERENCE.relative_to(ROOT)} ({len(codes)} built-ins)")
