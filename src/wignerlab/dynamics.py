@@ -258,8 +258,8 @@ def propagate_moyal_truncated(w: WignerFunction, potential: Potential,
     summed: once n_max covers every odd derivative of V the result no
     longer depends on it.
     """
-    if n_max < 0:
-        raise PropagationError(f"n_max must be >= 0, got {n_max}")
+    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
+        raise PropagationError(f"n_max must be an integer >= 0, got {n_max}")
 
     def series(x, half_sep):
         kernel = np.zeros((x.size, half_sep.size))

@@ -43,7 +43,8 @@ class MomentReport:
 def _derivative_samples(psi: Wavefunction) -> np.ndarray:
     g = psi.grid
     k = g.wavenumbers_x()
-    k[g.n // 2] = 0.0  # unpaired Nyquist bin carries no odd derivative
+    if g.n % 2 == 0:
+        k[g.n // 2] = 0.0  # unpaired Nyquist bin carries no odd derivative
     return np.fft.ifft(1j * k * np.fft.fft(psi.samples))
 
 

@@ -360,9 +360,7 @@ def _run_evolve(grid, psi, potential, save, route, dt, t_final,
         metrics = {"final_time": state.t, "final_moments": report}
     save("final.wig1", final, grid, state.t)
     if series:
-        save("series.csv", ("t", "mean_x", "mean_p", "var_x", "var_p",
-                            "cov_xp", "uncertainty_product", "blob_area"),
-             series)
+        save("series.csv", ("t", *report), series)
     return metrics, dict(_monitors(drift, final), boundary_flagged=bool(flags))
 
 

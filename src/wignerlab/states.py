@@ -63,9 +63,7 @@ def momentum_samples(psi: Wavefunction) -> np.ndarray:
     discretized so that sum |Phi|^2 dp == sum |psi|^2 dx exactly.
     """
     g = psi.grid
-    n = g.n
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    spec = np.fft.fft(psi.samples * signs)
+    spec = np.fft.fftshift(np.fft.fft(psi.samples))
     phase = np.exp(-1j * g.p * g.x_min / g.hbar)
     return g.dx / np.sqrt(2.0 * np.pi * g.hbar) * phase * spec
 
@@ -75,7 +73,9 @@ def gaussian_packet(grid: PhaseGrid, x0: float, p0: float,
     """Minimum-uncertainty Gaussian: <x>=x0, <p>=p0, dx=sigma, dp=hbar/(2 sigma).
 
     psi(x) proportional to exp(-(x-x0)^2/(4 sigma^2) + i p0 x / hbar).
-    Raises StateError when the +/-5 sigma support leaves the domain.
+    Raises StateError when the +/-5 sigma support leaves the domain, or
+    when the momentum band |p0| + hbar/(2 sigma) exceeds the grid's
+    Nyquist momentum pi hbar/dx.
     """
     if not (0 < sigma < math.inf and sigma * sigma > 0):   # NaN too
         raise StateError(f"sigma must be positive and finite, with a "
@@ -83,6 +83,13 @@ def gaussian_packet(grid: PhaseGrid, x0: float, p0: float,
     for name, value in (("x0", x0), ("p0", p0)):
         if not math.isfinite(value):
             raise StateError(f"{name} must be finite, got {value}")
+    band = abs(p0) + grid.hbar / (2.0 * sigma)
+    nyquist = np.pi * grid.hbar / grid.dx
+    if band > nyquist:
+        raise StateError(
+            f"{'p0' if abs(p0) > nyquist else 'sigma'}: momentum band "
+            f"|p0| + hbar/(2 sigma) = {band:.3g} exceeds the grid's "
+            f"Nyquist momentum pi hbar/dx = {nyquist:.3g}")
     if x0 - 5 * sigma < grid.x_min or x0 + 5 * sigma > grid.x_max:
         raise StateError(
             f"packet support [{x0 - 5 * sigma:.3g}, {x0 + 5 * sigma:.3g}] "

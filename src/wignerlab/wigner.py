@@ -10,7 +10,9 @@ with the prefactor chosen so the discrete double integral of W is
 exactly the squared norm of psi.  The x' integral is evaluated on a
 doubled-resolution auxiliary axis (trigonometric interpolation), so
 psi(x +/- x'/2) lands on sample points and no polynomial interpolation
-is ever used.
+is ever used.  On that periodic lattice of 2n points, y_a = x_a is fine
+index 2a, and a pair with fine midpoint j and separation s has its ends
+at fine indices j +/- s; both gathers below follow this rule.
 
 The correlation C(x, x') = conj(psi(x - x'/2)) psi(x + x'/2) is
 Hermitian in x', so only its columns x' = c*dx, c = 0 .. n/2, are
@@ -40,24 +42,23 @@ FACTORIZE_MAX_ITER = 10000   # power-iteration cap
 FACTORIZE_RTOL = 1e-12       # relative eigenvalue change that ends it
 
 
-def upsample2(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Trigonometric interpolation onto a lattice of doubled resolution.
+def upsample2(a: np.ndarray) -> np.ndarray:
+    """Trigonometric interpolation along axis 0 at doubled resolution.
 
     Zero-pads the spectrum; the Nyquist bin is split evenly between
     +/- Nyquist so real inputs stay real. Exact for band-limited data.
     """
-    a = np.asarray(a)
-    n = a.shape[axis]
+    n = a.shape[0]
     if n % 2:
         raise StateError(f"upsample2 needs an even sample count, got n = {n}")
-    spec = np.moveaxis(np.fft.fft(a, axis=axis), axis, -1)
-    padded = np.zeros(spec.shape[:-1] + (2 * n,), dtype=complex)
+    spec = np.fft.fft(a, axis=0)
+    padded = np.zeros((2 * n,) + a.shape[1:], dtype=complex)
     half = n // 2
-    padded[..., :half] = spec[..., :half]
-    padded[..., 2 * n - half + 1:] = spec[..., half + 1:]
+    padded[:half] = spec[:half]
+    padded[2 * n - half + 1:] = spec[half + 1:]
     # split the Nyquist bin
-    padded[..., half] = padded[..., 2 * n - half] = 0.5 * spec[..., half]
-    return np.moveaxis(2.0 * np.fft.ifft(padded), -1, axis)
+    padded[half] = padded[2 * n - half] = 0.5 * spec[half]
+    return 2.0 * np.fft.ifft(padded, axis=0)
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class CharacteristicZ:
         return float(np.sum(self.values.diagonal().real) * self.grid.dx)
 
 
-def _correlation_half_axis(psi_samples: np.ndarray, n: int) -> np.ndarray:
+def _correlation_half_axis(psi_samples: np.ndarray) -> np.ndarray:
     """C[k, c] = conj(psi(x_k - x'_c/2)) * psi(x_k + x'_c/2).
 
     x'_c = c*dx for c = 0 .. n/2; the columns x' < 0 are their mirrors'
@@ -121,6 +122,7 @@ def _correlation_half_axis(psi_samples: np.ndarray, n: int) -> np.ndarray:
     psi is first upsampled to the half-step lattice so both factors are
     on sample points (periodic wrap at the edges).
     """
+    n = len(psi_samples)
     fine = upsample2(psi_samples)
     k = np.arange(n)[:, None]
     off = np.arange(n // 2 + 1)[None, :]
@@ -138,7 +140,7 @@ def wigner_transform(psi: Wavefunction) -> WignerFunction:
     check_normalized(psi)
     g = psi.grid
     n = g.n
-    corr = _correlation_half_axis(psi.samples, n)
+    corr = _correlation_half_axis(psi.samples)
     values = np.fft.fftshift(np.fft.hfft(corr, n, axis=1), axes=1) \
         * (g.dx / (2.0 * np.pi * g.hbar))
     return WignerFunction(g, values, psi.t)
@@ -169,15 +171,11 @@ def to_characteristic(w: WignerFunction) -> CharacteristicZ:
     # C[k, c] = conj(psi(x_k - x'_c/2)) psi(x_k + x'_c/2), c = 0 .. n/2
     corr = np.fft.ihfft(np.fft.ifftshift(w.values, axes=1), axis=1) \
         * (2.0 * np.pi * g.hbar / g.dx)
-    fine = upsample2(corr, axis=0)  # midpoint axis at spacing dx/2
+    fine = upsample2(corr)  # midpoint axis at spacing dx/2
     a = np.arange(n)[:, None]
-    b = np.arange(n)[None, :]
-    raw = (a - b) + n // 2
-    sep = raw % n - n // 2
-    # separations beyond +/- L/2 wrap through the periodic boundary,
-    # which displaces the consistent midpoint by half the domain
-    wrap = (raw // n) % 2
-    mid = (a + b + wrap * n) % (2 * n)
+    sep = (a - np.arange(n)[None, :] + n // 2) % n - n // 2
+    # y_a (fine index 2a) is the end j + sep of the midpoint j = 2a - sep
+    mid = (2 * a - sep) % (2 * n)
     values = fine[mid, np.abs(sep)]
     np.conjugate(values, out=values, where=sep < 0)
     return CharacteristicZ(g, values, w.t)

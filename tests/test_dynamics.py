@@ -12,6 +12,7 @@ from wignerlab import (CharacteristicZ, MonitorError, PropagationError,
                        quartic, to_characteristic, wigner_transform)
 from wignerlab.dynamics import _phase_space_split, boundary_mass, sample_steps
 from wignerlab.observables import expectation_operator
+from wignerlab.potentials import polynomial
 
 from conftest import SQRT_HALF, gaussian_wigner
 
@@ -74,6 +75,18 @@ def test_schrodinger_order_of_accuracy(grid256):
 
     coarse, fine = error(16), error(32)
     assert coarse / fine >= 3.5
+
+
+@pytest.mark.parametrize("potential", [
+    polynomial((0.0, 0.0, 0.5, 0.0, 0.1, 0.0, 0.01)), quartic(0.1)],
+    ids=["degree-6", "quartic"])
+@pytest.mark.parametrize("n_max", [1.5, math.nan, 2.0, math.inf, -1])
+def test_truncated_route_rejects_a_non_integer_n_max(potential, n_max):
+    """A float n_max used to end in a bare TypeError from range() on a
+    degree-6 polynomial, and to run as int(n_max) on a quartic."""
+    w = wigner_transform(gaussian_packet(make_grid(64, -8.0, 8.0), 0, 0, 1))
+    with pytest.raises(PropagationError, match="n_max must be an integer"):
+        propagate_moyal_truncated(w, potential, 1e-3, 2, n_max)
 
 
 def test_bandwidth_monitor_trips():

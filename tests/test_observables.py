@@ -27,6 +27,18 @@ def test_harmonic_energies(grid256):
             level + 0.5, abs=1e-8)
 
 
+def test_momentum_moments_of_the_top_bin_on_an_odd_grid():
+    """On odd n the bin k[n // 2] is a paired frequency, not the unpaired
+    Nyquist bin; zeroing it made <p> of this plane wave read -1.8e-29."""
+    g = make_grid(63, -8.0, 8.0)
+    k = g.wavenumbers_x()[g.n // 2]
+    psi = Wavefunction(g, np.exp(1j * k * g.x) / np.sqrt(g.x_max - g.x_min))
+    assert expectation_operator(psi, "p") == pytest.approx(k, rel=1e-12)
+    assert expectation_operator(psi, "p2") == pytest.approx(k ** 2, rel=1e-12)
+    assert expectation_operator(psi, "H", free_particle()) == pytest.approx(
+        k ** 2 / 2, rel=1e-12)
+
+
 def test_symmetrized_xp_vanishes_for_ground_state(grid256):
     psi = harmonic_eigenstate(grid256, 0, 1.0)
     assert expectation_operator(psi, "sym_xp") == pytest.approx(0.0,

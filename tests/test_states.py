@@ -67,6 +67,32 @@ def test_sigma_whose_square_underflows_is_named(grid256, build):
         build(grid256)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build,name", [
+    (lambda: gaussian_packet(make_grid(64, -8.0, 8.0), 0.0, 0.0, 1e-10),
+     "sigma"),
+    (lambda: gaussian_packet(make_grid(64, -8.0, 8.0), 0.1, 0.0, 1e-10),
+     "sigma"),
+    (lambda: gaussian_packet(make_grid(64, -8.0, 8.0), 0.0, 0.0, 1e-160),
+     "sigma"),
+    (lambda: gaussian_packet(make_grid(32, -6.0, 6.0), 0.0, 100.0, 1.0),
+     "p0"),
+    (lambda: gaussian_packet(make_grid(32, -6.0, 6.0), 0.0, 8.0, 1.0),
+     "sigma"),
+    (lambda: cat_state(make_grid(64, -8.0, 8.0), 2.0, 1e-10), "sigma"),
+    (lambda: two_slit_state(make_grid(64, -8.0, 8.0), 4.0, 1e-10), "sigma"),
+    (lambda: cat_state(make_grid(32, -6.0, 6.0), 2.0, 1.0, 100.0), "p0")],
+    ids=["spike-on-sample", "spike-off-sample", "subnormal-square",
+         "aliased-p0", "band-edge", "cat_state", "two_slit_state",
+         "cat-aliased-p0"])
+def test_gaussian_momentum_band_must_fit_the_grid(build, name):
+    """|p0| + hbar/(2 sigma) above pi hbar/dx used to give a one-sample
+    spike, a NormalizationError naming nothing, or an aliased packet
+    whose <p> read -0.53 for p0 = 100."""
+    with pytest.raises(StateError, match=f"^{name}: momentum band"):
+        build()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     x0=st.floats(min_value=-3.0, max_value=3.0),
@@ -207,6 +233,16 @@ def test_momentum_samples_gaussian_analytic(grid256):
     analytic = np.exp(-(p - 2.0) ** 2 / (2.0 * sigma_p ** 2)) \
         / np.sqrt(2.0 * np.pi * sigma_p ** 2)
     assert np.max(np.abs(phi - analytic)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_momentum_samples_mean_is_p0_on_either_parity(n):
+    """The alternating-sign shift assumed an even n; on n = 63 it moved
+    Phi by dp/2 and <p> read 1.696."""
+    g = make_grid(n, -8.0, 8.0)
+    psi = gaussian_packet(g, 0.0, 1.5, 1.0)
+    density = np.abs(momentum_samples(psi)) ** 2
+    assert abs(np.sum(g.p * density) * g.dp - 1.5) <= 1e-12
 
 
 def test_two_slit_is_displaced_pair(grid256):

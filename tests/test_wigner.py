@@ -253,7 +253,7 @@ def _full_width_characteristic(w):
     g, n = w.grid, w.grid.n
     corr = _centered(np.fft.ifft, w.values.astype(complex)) \
         * (2.0 * np.pi * g.hbar / g.dx)
-    fine = upsample2(corr, axis=0)
+    fine = upsample2(corr)
     a = np.arange(n)[:, None]
     b = np.arange(n)[None, :]
     raw = (a - b) + n // 2
@@ -270,7 +270,7 @@ def _assert_matches_full_width(psi):
     assert np.max(np.abs(z.values - _full_width_characteristic(w))) <= 1e-15
 
 
-@pytest.mark.parametrize("n", [8, 64, 130, 256])
+@pytest.mark.parametrize("n", [8, 10, 64, 130, 256, 512])
 def test_hermitian_pair_matches_full_width_pair_on_random_states(n):
     """Random samples are not band-limited, so the unpaired x' = -L/2
     column carries mass, which the Hermitian transform reads from its
