@@ -108,10 +108,22 @@ class CharacteristicZ:
                              f"got {self.values.shape}")
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.conj().T)))
+        shape = self.values.shape
+        return _hermiticity_defect(self.values, np.empty(shape, complex),
+                                   np.empty(shape))
 
     def diagonal_total(self) -> float:
-        return float(np.sum(self.values.diagonal().real) * self.grid.dx)
+        return float(self.values.diagonal().real.sum() * self.grid.dx)
+
+
+def _hermiticity_defect(values: np.ndarray, work: np.ndarray,
+                        magnitude: np.ndarray) -> float:
+    """max |Z - conj(Z^T)| (NaN if any entry is NaN), written through the
+    caller's complex work buffer and real magnitude buffer."""
+    np.conjugate(values.T, out=work)
+    np.subtract(values, work, out=work)
+    np.abs(work, out=magnitude)
+    return float(magnitude.max())
 
 
 def _correlation_half_axis(psi_samples: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from wignerlab import (CharacteristicZ, MonitorError, PropagationError,
 from wignerlab.dynamics import _phase_space_split, boundary_mass, sample_steps
 from wignerlab.observables import expectation_operator
 from wignerlab.potentials import polynomial
+from wignerlab.wigner import _hermiticity_defect
 
 from conftest import SQRT_HALF, gaussian_wigner
 
@@ -305,6 +306,88 @@ def test_characteristic_zero_steps_bit_exact(grid256):
     z = to_characteristic(wigner_transform(
         gaussian_packet(grid256, 0.0, 0.0, 1.0)))
     assert propagate_characteristic(z, harmonic(1.0), 1e-3, 0) is z
+
+
+def allocating_characteristic(z, potential, dt, steps):
+    """The characteristic route as numpy's own 2-D pair with merged half
+    steps: ifft2(fft2(values * pot_full) * a) a step."""
+    g = z.grid
+    k = g.wavenumbers_x()
+    v = potential.value(g.x)
+    pot_full = np.exp(-1j * dt / g.hbar * (v[:, None] - v[None, :]))
+
+    def kinetic(tau):
+        kin = np.exp(-1j * g.hbar * k ** 2 * tau / (2.0 * g.mass))
+        return kin[:, None] * np.conj(kin)[None, :]
+
+    a_full, a_half = kinetic(dt), kinetic(0.5 * dt)
+    values = np.fft.ifft2(np.fft.fft2(z.values) * a_half)
+    for step in range(1, steps + 1):
+        a = a_full if step < steps else a_half
+        values = np.fft.ifft2(np.fft.fft2(values * pot_full) * a)
+    return values
+
+
+def localized_kernel(n):
+    """psi psi^dagger of a centred Gaussian plus a 1e-3 Hermitian
+    perturbation under a Gaussian envelope, so the boundary stays quiet."""
+    g = make_grid(n, -8.0, 8.0)
+    psi = gaussian_packet(g, 0.0, 0.0, 1.0).samples
+    rng = np.random.default_rng(n)
+    noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    envelope = np.exp(-g.x ** 2)
+    bump = (noise + noise.conj().T) * np.outer(envelope, envelope)
+    return CharacteristicZ(g, np.outer(psi, psi.conj()) + 1e-3 * bump)
+
+
+@pytest.mark.parametrize("n", [63, 64, 130, 256])
+def test_characteristic_matches_the_allocating_pair_bit_for_bit(n):
+    """The per-axis passes in reused buffers keep every bit of numpy's
+    fft2/ifft2 step, leave the input alone and hand out fresh arrays."""
+    z = localized_kernel(n)
+    before = z.values.copy()
+    V = quartic(0.1)
+    out = propagate_characteristic(z, V, 1e-3, 5)
+    assert np.array_equal(out.values, allocating_characteristic(z, V, 1e-3, 5))
+    assert np.array_equal(z.values, before)
+    again = propagate_characteristic(z, V, 1e-3, 5)
+    assert not np.shares_memory(out.values, again.values)
+    assert not np.shares_memory(out.values, z.values)
+
+
+def test_hermiticity_defect_matches_the_whole_matrix_maximum():
+    z = localized_kernel(64)
+    values = z.values + 1e-9 * np.triu(z.values)
+    expected = np.max(np.abs(values - values.conj().T))
+    assert expected > 0.0
+    defect = _hermiticity_defect(values, np.empty_like(values),
+                                 np.empty(values.shape))
+    assert defect == expected
+    assert CharacteristicZ(z.grid, values).hermiticity_defect() == expected
+    values[3, 5] = np.nan
+    assert math.isnan(np.max(np.abs(values - values.conj().T)))
+    assert math.isnan(CharacteristicZ(z.grid, values).hermiticity_defect())
+
+
+@pytest.mark.parametrize("steps", [2.5, 2.0, math.nan, np.float64(3)])
+@pytest.mark.parametrize("route", ["schrodinger", "moyal", "truncated",
+                                   "characteristic"])
+def test_non_integer_steps_fail_at_set_up(route, steps):
+    g = make_grid(64, -8.0, 8.0)
+    psi = gaussian_packet(g, 0.0, 0.0, 1.0)
+    w = wigner_transform(psi)
+    run = {"schrodinger": lambda: propagate_schrodinger(
+               psi, harmonic(1.0), 1e-3, steps),
+           "moyal": lambda: propagate_moyal_exact(
+               w, harmonic(1.0), 1e-3, steps),
+           "truncated": lambda: propagate_moyal_truncated(
+               w, harmonic(1.0), 1e-3, steps, 1),
+           "characteristic": lambda: propagate_characteristic(
+               to_characteristic(w), harmonic(1.0), 1e-3, steps)}[route]
+    with pytest.raises(PropagationError,
+                       match="steps must be an integer") as caught:
+        run()
+    assert type(caught.value) is PropagationError
 
 
 def test_norm_conservation_long_run(grid256):
