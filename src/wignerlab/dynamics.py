@@ -21,14 +21,14 @@ import math
 
 import numpy as np
 
-from .errors import MonitorError, PropagationError, StateError
+from .errors import MonitorError, PropagationError, StateError, is_integer
 from .grid import PhaseGrid
 from .observables import expectation_operator
 from .potentials import Potential
 from .states import Wavefunction, check_normalized
-from .wigner import (CharacteristicZ, WignerFunction, _hermiticity_defect,
-                     factorize_characteristic, to_characteristic,
-                     wigner_transform)
+from .wigner import (HERMITICITY_TOL, CharacteristicZ, WignerFunction,
+                     _hermiticity_defect, factorize_characteristic,
+                     to_characteristic, wigner_transform)
 
 __all__ = [
     "EvolutionReport", "propagate_schrodinger", "propagate_moyal_exact",
@@ -42,13 +42,12 @@ BANDWIDTH_TOL = 1e-8          # spectral mass allowed beyond that band
 NORM_DRIFT_TOL = 1e-9
 BOUNDARY_FLAG = 1e-8
 BOUNDARY_HARD = 1e-4
-HERMITICITY_TOL = 1e-10
 
 
 def _check_steps(dt: float, steps: int) -> None:
     if not 0 < dt < math.inf:   # NaN too
         raise PropagationError(f"nonpositive step, or not finite: dt = {dt}")
-    if not (isinstance(steps, (int, np.integer)) and steps >= 0):
+    if not (is_integer(steps) and steps >= 0):
         raise PropagationError(f"steps must be an integer >= 0, got {steps}")
 
 
@@ -59,6 +58,8 @@ def sample_steps(sample_times, dt: float, t0: float = 0.0,
     whole number of steps after the previous, and inside [t0, t_final]
     when t_final is given."""
     _check_steps(dt, 0)
+    if not math.isfinite(t0):
+        raise PropagationError(f"t0 must be finite, got {t0}")
     sample_times = sorted(float(t) for t in sample_times)
     if t_final is not None and sample_times and not (
             t0 <= sample_times[0] <= sample_times[-1] <= t_final + 1e-12):
@@ -259,7 +260,7 @@ def propagate_moyal_truncated(w: WignerFunction, potential: Potential,
     summed: once n_max covers every odd derivative of V the result no
     longer depends on it.
     """
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
+    if not (is_integer(n_max) and n_max >= 0):
         raise PropagationError(f"n_max must be an integer >= 0, got {n_max}")
 
     def series(x, half_sep):

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and their integer test.
 
 Exit-code mapping used by the CLI:
     ConfigError (also wraps a config's PotentialError)                 -> 2
@@ -6,11 +6,18 @@ Exit-code mapping used by the CLI:
     numerical monitor hard failures (Monitor/Convergence)              -> 4
 """
 
+from numbers import Integral
+
 __all__ = [
     "WignerlabError", "GridError", "StateError", "NormalizationError",
     "PurityError", "ConvergenceError", "PropagationError", "MonitorError",
     "TomographyError", "ConfigError", "PotentialError",
 ]
+
+
+def is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool (an int to isinstance)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class WignerlabError(Exception):
@@ -34,7 +41,7 @@ class PurityError(WignerlabError):
 
 
 class ConvergenceError(WignerlabError):
-    """Iterative solver exceeded its iteration cap."""
+    """A solver had nothing to converge to (a numerically zero kernel)."""
 
 
 class PropagationError(WignerlabError):

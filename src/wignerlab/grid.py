@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, is_integer
 
 __all__ = ["PhaseGrid", "make_grid", "square_grid"]
 
@@ -43,6 +43,12 @@ class PhaseGrid:
         if not 0 < self.mass < np.inf:
             raise GridError(f"grid.mass must be finite and positive, "
                             f"got {self.mass}")
+        # dx first: dp divides by it
+        if not (0 < self.dx < np.inf and 0 < self.dp < np.inf):
+            raise GridError(
+                f"grid spacings dx, dp must be finite and positive; x_min="
+                f"{self.x_min}, x_max={self.x_max}, n={self.n}, hbar="
+                f"{self.hbar} give dx={self.dx}")
 
     @property
     def dx(self) -> float:
@@ -74,7 +80,7 @@ class PhaseGrid:
 def make_grid(n: int, x_min: float, x_max: float,
               hbar: float = 1.0, mass: float = 1.0) -> PhaseGrid:
     """Construct a validated PhaseGrid (see PhaseGrid for conventions)."""
-    if not isinstance(n, (int, np.integer)):   # int() would truncate 100.9
+    if not is_integer(n):   # int() would truncate 100.9
         raise GridError(f"grid.n must be an integer, got {n!r}")
     return PhaseGrid(n=int(n), x_min=float(x_min), x_max=float(x_max),
                      hbar=float(hbar), mass=float(mass))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import StateError
+from .errors import StateError, is_integer
 from .potentials import Potential
 from .states import Wavefunction, check_normalized
 from .wigner import WignerFunction, purity  # purity: kept importable here
@@ -91,8 +91,7 @@ def expectation_phase_space(w: WignerFunction, poly: dict) -> float:
     g = w.grid
     acc = 0.0
     for (i, j), coeff in poly.items():
-        if not (isinstance(i, (int, np.integer))
-                and isinstance(j, (int, np.integer))
+        if not (is_integer(i) and is_integer(j)
                 and i >= 0 and j >= 0 and i + j <= MAX_POLY_DEGREE):
             raise StateError(
                 f"monomial x^{i} p^{j} outside supported degree "

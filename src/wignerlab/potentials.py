@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PotentialError
+from .errors import PotentialError, is_integer
 
 __all__ = ["Potential", "polynomial", "harmonic", "quartic", "double_well",
            "free_particle"]
@@ -44,7 +44,7 @@ class Potential:
 
     def derivative(self, x, order: int = 1):
         """Exact derivative of the requested order, evaluated at x."""
-        if not (isinstance(order, (int, np.integer)) and order >= 0):
+        if not (is_integer(order) and order >= 0):
             raise PotentialError(
                 f"derivative order must be >= 0 and an integer, got {order}")
         der = np.polynomial.polynomial.polyder(self.coefficients, m=order)

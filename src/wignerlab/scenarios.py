@@ -9,10 +9,11 @@ writes anything, so a failed run leaves no output.  Every run writes a
 manifest.json whose bytes depend only on (config, package version);
 wall-clock timing goes to a separate timing.json sidecar so the
 scientific artifacts stay byte-reproducible across runs on one numpy
-build and CPU.
+build and CPU; the sidecar names that build and CPU too.
 """
 
 import copy
+import platform
 import re
 import sys
 import time
@@ -28,7 +29,7 @@ from .dynamics import (_ehrenfest, boundary_mass, cross_validate,
                        propagate_characteristic, propagate_moyal_exact,
                        propagate_moyal_truncated, propagate_schrodinger,
                        sample_steps)
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .grid import make_grid, square_grid
 from .observables import moments, negativity, purity
 from .potentials import (double_well, free_particle, harmonic, polynomial,
@@ -65,10 +66,6 @@ def _expect(what: str, test):
             raise ConfigError(f"{context}: expected {what}, got {value!r}")
         return value
     return check
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # finite: NaN fails the comparison, and so do ints beyond float range
@@ -432,10 +429,10 @@ TYPES = {
     **{f"scenario.{section}": lambda value, context: copy.deepcopy(
         _acyclic(value, context))
        for section in ("grid", "state", "potential", "experiment")},
-    "grid.n": _expect("an integer", _is_int),
+    "grid.n": _expect("an integer", is_integer),
     "grid.square": _expect("true or false",
                            lambda value: isinstance(value, bool)),
-    "state.level": _expect("an integer", _is_int),
+    "state.level": _expect("an integer", is_integer),
     "state.components": _list_of(
         lambda part, context: _section("state", part, context)),
     "state.coefficients": _list_of(_amplitude),
@@ -449,9 +446,9 @@ TYPES = {
         None if value is None else _list_of(_number)(value, context)),
     "experiment.t_grid": _list_of(_number),
     "experiment.n_max": _expect("an integer >= 0",
-                                lambda v: _is_int(v) and v >= 0),
+                                lambda v: is_integer(v) and v >= 0),
     "experiment.n_angles": _expect("an integer >= 2",
-                                   lambda v: _is_int(v) and v >= 2),
+                                   lambda v: is_integer(v) and v >= 2),
 }
 
 # section -> kind -> (builder or runner, required keys, optional keys with
@@ -495,13 +492,24 @@ SCHEMA = {
 }
 
 
+def _build_info() -> dict:
+    """numpy, BLAS and CPU, on which an artifact's last bits depend."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpuinfo = Path("/proc/cpuinfo")   # Linux; elsewhere platform's word
+    cpu = re.findall(r"model name\s*:\s*(.*)",
+                     cpuinfo.read_text() if cpuinfo.exists() else "")
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "machine": platform.machine(),
+            "cpu": cpu[0] if cpu else platform.processor()}
+
+
 def run_scenario(config: ScenarioConfig, output_dir) -> dict:
     """Execute a scenario and write its artifacts; returns the manifest.
 
     The scenario runs to the end before anything is written, so a run
     that fails leaves no output.  All scientific outputs (manifest,
     fields, tables) are byte-identical across runs of a fixed (config,
-    version) on one numpy build and CPU; only timing.json varies.
+    version) on one numpy build and CPU; timing.json varies and names them.
     """
     from . import __version__
 
@@ -534,5 +542,6 @@ def run_scenario(config: ScenarioConfig, output_dir) -> dict:
         writer(out / name, *args)
     wio.write_json(out / "manifest.json", manifest)
     wio.write_json(out / "timing.json",
-                   {"runtime_seconds": time.perf_counter() - started})
+                   {"runtime_seconds": time.perf_counter() - started,
+                    **_build_info()})
     return manifest

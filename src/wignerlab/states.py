@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NormalizationError, StateError
+from .errors import NormalizationError, StateError, is_integer
 from .grid import PhaseGrid
 
 __all__ = [
@@ -107,7 +107,7 @@ def harmonic_eigenstate(grid: PhaseGrid, level: int,
     Uses the three-term recurrence on normalized Hermite functions,
     which is stable up to level 20 without overflow.
     """
-    if not (isinstance(level, (int, np.integer)) and 0 <= level <= 20):
+    if not (is_integer(level) and 0 <= level <= 20):
         raise StateError(f"level must be an integer in [0, 20], got {level}")
     if not 0 < omega < math.inf:   # NaN too
         raise StateError(f"omega must be positive and finite, got {omega}")

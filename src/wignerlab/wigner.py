@@ -38,8 +38,7 @@ __all__ = [
 
 W_NORM_TOL = 1e-6     # allowed |1 - integral W dx dp| of a normalized field
 PURITY_GATE = 0.999
-FACTORIZE_MAX_ITER = 10000   # power-iteration cap
-FACTORIZE_RTOL = 1e-12       # relative eigenvalue change that ends it
+HERMITICITY_TOL = 1e-10   # allowed max |Z - conj(Z^T)| of a kernel
 
 
 def upsample2(a: np.ndarray) -> np.ndarray:
@@ -215,38 +214,25 @@ def reconstruct_wavefunction(w: WignerFunction) -> Wavefunction:
 
 
 def factorize_characteristic(z: CharacteristicZ):
-    """Dominant eigenfunction of the Hermitian kernel Z, plus residual.
+    """Top eigenpair of the Hermitian kernel Z, plus residual.
 
-    Power iteration on the quadrature-weighted kernel Z*dx; residual is
-    1 - lambda_max / trace, which vanishes for exactly rank-1 kernels.
+    numpy's Hermitian eigensolver (eigh) on the quadrature-weighted
+    kernel Z*dx; residual is 1 - lambda_max / trace, which vanishes for
+    exactly rank-1 kernels.  eigh reads one triangle only, so the whole
+    kernel must first be finite and Hermitian within HERMITICITY_TOL.
     Returns (Wavefunction, residual).
     """
+    defect = z.hermiticity_defect()
+    if not defect <= HERMITICITY_TOL:   # NaN or inf for a non-finite entry
+        raise StateError(f"characteristic kernel is not finite and "
+                         f"Hermitian: Hermiticity defect {defect:.3e}")
     g = z.grid
     dx = g.dx
-    mat = z.values * dx
     trace = float(np.trace(z.values).real) * dx
-    # start from the column through the largest diagonal entry
-    v = z.values[:, np.argmax(np.abs(z.values.diagonal()))].astype(complex)
-    vnorm = np.linalg.norm(v)
-    if vnorm == 0.0 or trace == 0.0:
+    if trace == 0.0:
         raise ConvergenceError("kernel is numerically zero")
-    v /= vnorm
-    lam_prev = None
-    for _ in range(FACTORIZE_MAX_ITER):
-        w = mat @ v
-        wnorm = np.linalg.norm(w)
-        if wnorm == 0.0:
-            raise ConvergenceError("power iteration collapsed to zero")
-        lam = float(np.real(np.vdot(v, w)))
-        v = w / wnorm
-        if (lam_prev is not None
-                and abs(lam - lam_prev) <= FACTORIZE_RTOL * abs(lam)):
-            break
-        lam_prev = lam
-    else:
-        raise ConvergenceError(
-            f"power iteration did not converge in {FACTORIZE_MAX_ITER} "
-            "iterations")
+    eigenvalues, eigenvectors = np.linalg.eigh(z.values * dx)
+    lam, v = eigenvalues[-1], eigenvectors[:, -1]
     residual = 1.0 - lam / trace
     # normalize and anchor the phase at the amplitude maximum
     v = v / np.sqrt(np.sum(np.abs(v) ** 2) * dx)

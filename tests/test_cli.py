@@ -58,7 +58,10 @@ def test_run_yaml_config(tmp_path, capsys):
                  "--output", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["scenario"] == "quick-cat"
-    assert (out / "timing.json").exists()
+    timing = json.loads((out / "timing.json").read_text())
+    assert set(timing) == {"runtime_seconds", "numpy", "blas",
+                           "blas_version", "machine", "cpu"}
+    assert timing["numpy"] == np.__version__
     for artifact in manifest["artifacts"]:
         assert (out / artifact).exists(), artifact
     assert "quick-cat" in capsys.readouterr().out

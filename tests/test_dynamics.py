@@ -469,6 +469,14 @@ def test_sample_steps_sorts_and_bounds_by_t_final():
             sample_steps(times, 0.25, t0, t_final)
 
 
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+def test_sample_steps_names_a_non_finite_start(t0):
+    """A non-finite t0 used to be blamed on the sample time ("sample time
+    0.5 is not a multiple of dt=0.1")."""
+    with pytest.raises(PropagationError, match="t0 must be finite"):
+        sample_steps([0.5], 0.1, t0=t0)
+
+
 def test_ehrenfest_track_sorts_its_times():
     g = make_grid(128, -12.0, 12.0)
     psi = gaussian_packet(g, 1.0, 0.0, 1.0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +55,21 @@ def test_non_finite_grid_parameters_rejected(kwargs):
     """make_grid(64, -8, inf) used to return a grid with dx = inf."""
     with pytest.raises(GridError):
         make_grid(**{"n": 64, "x_min": -8.0, "x_max": 8.0, **kwargs})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x_min, x_max, hbar", [
+    (-1e308, 1e308, 1.0),   # dx overflows
+    (0.0, 1e-320, 1.0),     # dp overflows
+    (0.0, 5e-324, 1.0),     # dx underflows to zero
+    (-8.0, 8.0, 1e308),     # dp overflows
+])
+def test_grid_spacings_must_be_finite_and_positive(x_min, x_max, hbar):
+    """make_grid(8, -1e308, 1e308) used to return dx = inf with NaN in x,
+    and make_grid(8, 0.0, 1e-320) dp = inf, with only a RuntimeWarning."""
+    named = f"x_min={x_min}, x_max={x_max}, n=8, hbar={hbar} give dx="
+    with pytest.raises(GridError, match=re.escape(named)):
+        make_grid(8, x_min, x_max, hbar=hbar)
 
 
 @pytest.mark.parametrize("n", [100.9, 64.0, np.nan, np.inf, "64"])

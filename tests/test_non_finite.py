@@ -1,6 +1,7 @@
 """NaN and +/-inf at the Python API: every public constructor and
 propagator either raises a WignerlabError at set-up or returns finite
-numbers, never a silently NaN-filled result."""
+numbers, never a silently NaN-filled result.  So does a bool where a
+count is due."""
 
 import math
 
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wignerlab import (CharacteristicZ, PotentialError, Tomogram,
-                       Wavefunction, WignerlabError, classical_trajectory,
-                       double_well, forward_tomogram, gaussian_packet,
-                       harmonic, harmonic_eigenstate, make_grid, polynomial,
+from wignerlab import (CharacteristicZ, GridError, PotentialError,
+                       PropagationError, StateError, Tomogram, Wavefunction,
+                       WignerlabError, classical_trajectory, double_well,
+                       expectation_phase_space, factorize_characteristic,
+                       forward_tomogram, gaussian_packet, harmonic,
+                       harmonic_eigenstate, make_grid, polynomial,
                        propagate_characteristic, propagate_moyal_exact,
                        propagate_moyal_truncated, propagate_schrodinger,
                        quartic, square_grid, superpose, to_characteristic,
@@ -29,9 +32,9 @@ SQUARE = wigner_transform(gaussian_packet(square_grid(N), 0.0, 0.0, 1.0))
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
-def maybe(valid):
-    """A valid value or a non-finite one."""
-    return st.sampled_from((valid, *NON_FINITE))
+def maybe(valid, *extreme):
+    """A valid value, an extreme finite one or a non-finite one."""
+    return st.sampled_from((valid, *extreme, *NON_FINITE))
 
 
 def numbers(state) -> np.ndarray:
@@ -39,7 +42,8 @@ def numbers(state) -> np.ndarray:
 
 
 @settings(max_examples=25, deadline=None)
-@given(x_min=maybe(-6.0), x_max=maybe(6.0), re=maybe(0.5), im=maybe(0.0),
+@given(x_min=maybe(-6.0, -1e308), x_max=maybe(6.0, 1e308),
+       re=maybe(0.5), im=maybe(0.0),
        mu=maybe(0.6), nu=maybe(0.8), dt=maybe(0.01),
        entry=st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)),
        value=st.sampled_from((None, *NON_FINITE, complex(0.0, math.inf))),
@@ -49,10 +53,11 @@ def numbers(state) -> np.ndarray:
 def test_non_finite_input_raises_or_stays_finite(
         x_min, x_max, re, im, mu, nu, dt, entry, value, omega, lam, a, b, c,
         x0, p0, sigma, level, n, mass, angle):
-    """Bounds and n of a grid, a coefficient, a frame, each route's dt,
-    one kernel entry (value None leaves the kernel as it is), every
-    scalar of the potential and state constructors and of a classical
-    trajectory, and a tomogram angle."""
+    """Bounds (+/-1e308 among them, whose dx overflows) and n of a grid,
+    a coefficient, a frame, each route's dt, one kernel entry (value
+    None leaves the kernel as it is), every scalar of the potential and
+    state constructors and of a classical trajectory, and a tomogram
+    angle."""
     def grid():
         g = make_grid(n, x_min, x_max)
         return g.x, g.p
@@ -111,3 +116,41 @@ def test_potential_errors_are_wignerlab_errors(build):
         build()
     assert isinstance(caught.value, WignerlabError)
     assert isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize("entry", [(3, 20), (20, 3)], ids=["upper", "lower"])
+def test_factorize_refuses_a_nan_entry_in_either_triangle(monkeypatch, entry):
+    """numpy's eigh reads one triangle only, so the input checks must see
+    the whole kernel: a NaN in either one is refused before it solves."""
+    values = Z.values.copy()
+    values[entry] = math.nan
+
+    def solver(*args, **kwargs):
+        raise AssertionError("eigh reached with a NaN entry")
+
+    monkeypatch.setattr(np.linalg, "eigh", solver)
+    with pytest.raises(WignerlabError):
+        factorize_characteristic(CharacteristicZ(GRID, values))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: propagate_schrodinger(PSI, harmonic(1.0), 0.01, True),
+     PropagationError, "steps must be an integer"),
+    (lambda: propagate_moyal_truncated(W, harmonic(1.0), 0.01, 1,
+                                       n_max=True),
+     PropagationError, "n_max must be an integer"),
+    (lambda: harmonic_eigenstate(WIDE, True, 1.0),
+     StateError, "level must be an integer"),
+    (lambda: harmonic(1.0).derivative(0.0, True),
+     PotentialError, "derivative order must be >= 0 and an integer"),
+    (lambda: make_grid(True, -6.0, 6.0), GridError, "must be an integer"),
+    (lambda: expectation_phase_space(W, {(True, 0): 1.0}),
+     StateError, "integer exponents")],
+    ids=["steps", "n_max", "level", "derivative-order", "grid-n",
+         "monomial-exponent"])
+def test_a_bool_is_no_count(build, error, message):
+    """bool is an int to isinstance: propagate_schrodinger(psi, V, 0.01,
+    True) ran one step and harmonic_eigenstate(g, True, 1.0) built
+    level 1, while a config's `true` was already refused."""
+    with pytest.raises(error, match=message):
+        build()

@@ -138,10 +138,10 @@ def test_reconstruction_phase_convention(grid256):
     assert rec.samples[anchor].real > 0
 
 
-def _mixture(grid):
+def _mixture(grid, weight=0.5):
     a = wigner_transform(harmonic_eigenstate(grid, 0, 1.0))
     b = wigner_transform(harmonic_eigenstate(grid, 1, 1.0))
-    return WignerFunction(grid, 0.5 * (a.values + b.values))
+    return WignerFunction(grid, weight * a.values + (1.0 - weight) * b.values)
 
 
 def test_mixture_fails_purity_gate(grid256):
@@ -202,6 +202,31 @@ def test_factorize_equal_mixture_residual(grid256):
     z = to_characteristic(_mixture(grid256))
     _, residual = factorize_characteristic(z)
     assert residual == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("weight, tol", [(0.5001, 1e-12), (0.51, 1e-13)])
+def test_factorize_near_equal_mixture_residual(grid256, weight, tol):
+    """The power iteration raised ConvergenceError after 10,000 iterations
+    on the 0.5001/0.4999 mixture, and read 0.4900000000059 on 0.51/0.49:
+    its top two eigenvalues were too close for it to separate."""
+    z = to_characteristic(_mixture(grid256, weight))
+    _, residual = factorize_characteristic(z)
+    assert residual == pytest.approx(1.0 - weight, abs=tol)
+
+
+def test_factorize_refuses_a_nan_in_the_upper_triangle(grid256, monkeypatch):
+    """eigh reads the lower triangle only: a NaN at [3, 70] still gave
+    finite eigenvalues, so the whole kernel is checked first."""
+    z = to_characteristic(wigner_transform(gaussian_packet(grid256, 0.0,
+                                                           0.0, 1.0)))
+    z.values[3, 70] = np.nan
+
+    def solver(*args, **kwargs):
+        raise AssertionError("eigh called on a kernel with a NaN entry")
+
+    monkeypatch.setattr(np.linalg, "eigh", solver)
+    with pytest.raises(StateError, match="not finite and Hermitian"):
+        factorize_characteristic(z)
 
 
 def test_factorize_zero_kernel(grid256):
