@@ -42,6 +42,7 @@ BANDWIDTH_TOL = 1e-8          # spectral mass allowed beyond that band
 NORM_DRIFT_TOL = 1e-9
 BOUNDARY_FLAG = 1e-8
 BOUNDARY_HARD = 1e-4
+MAX_STEPS = 10_000_000        # steps in one call or one schedule
 
 
 def _check_steps(dt: float, steps: int) -> None:
@@ -49,6 +50,9 @@ def _check_steps(dt: float, steps: int) -> None:
         raise PropagationError(f"nonpositive step, or not finite: dt = {dt}")
     if not (is_integer(steps) and steps >= 0):
         raise PropagationError(f"steps must be an integer >= 0, got {steps}")
+    if steps > MAX_STEPS:
+        raise PropagationError(
+            f"{steps} steps exceed the bound MAX_STEPS = {MAX_STEPS}")
 
 
 def sample_steps(sample_times, dt: float, t0: float = 0.0,
@@ -56,10 +60,12 @@ def sample_steps(sample_times, dt: float, t0: float = 0.0,
     """Step counts that carry a run from t0 through the sample times,
     given in any order and taken in increasing order; each must lie a
     whole number of steps after the previous, and inside [t0, t_final]
-    when t_final is given."""
+    when t_final is given.  The counts sum to at most MAX_STEPS."""
     _check_steps(dt, 0)
     if not math.isfinite(t0):
         raise PropagationError(f"t0 must be finite, got {t0}")
+    if t_final is not None and not math.isfinite(t_final):
+        raise PropagationError(f"t_final must be finite, got {t_final}")
     sample_times = sorted(float(t) for t in sample_times)
     if t_final is not None and sample_times and not (
             t0 <= sample_times[0] <= sample_times[-1] <= t_final + 1e-12):
@@ -76,6 +82,7 @@ def sample_steps(sample_times, dt: float, t0: float = 0.0,
                 f"sample time {target} is not a multiple of dt={dt}")
         counts.append(steps)
         t += steps * dt
+    _check_steps(dt, sum(counts))
     return counts
 
 
@@ -171,12 +178,10 @@ def propagate_schrodinger(psi: Wavefunction, potential: Potential,
 
 
 def _shear_phase(g: PhaseGrid, tau: float) -> np.ndarray:
-    """Real-FFT multiplier advecting W in x by p*tau/m (exact)."""
+    """Real-FFT multiplier advecting W in x by p*tau/m (exact); irfft
+    reads only the real part of its unpaired Nyquist row."""
     kx = g.wavenumbers_x()[:g.n // 2 + 1]
-    phase = np.exp(-1j * np.outer(kx, g.p) * tau / g.mass)
-    # unpaired Nyquist row must stay real for a real field
-    phase[-1] = phase[-1].real
-    return phase
+    return np.exp(-1j * np.outer(kx, g.p) * tau / g.mass)
 
 
 def _phase_space_split(route: str, w: WignerFunction, kernel, dt: float,
@@ -286,8 +291,9 @@ def propagate_characteristic(z: CharacteristicZ, potential: Potential,
     conjugate evolution in y' (together one 2-D FFT pair a step), and
     the potential phase exp(-i [V(y) - V(y')] dt / hbar).  Hermiticity
     and the diagonal's integral are monitored each step.  Every step
-    works in buffers made once per call; each 2-D transform is numpy's
-    fft2/ifft2 pass for pass (axis 1, then axis 0), so the bits are theirs.
+    works in buffers made once per call: the forward transform is fft2
+    into one, and the inverse is ifft2's two passes (axis 1, then axis 0)
+    written out, since ifft2 ignores out=.
     """
     _check_steps(dt, steps)
     if steps == 0:
@@ -310,10 +316,6 @@ def propagate_characteristic(z: CharacteristicZ, potential: Potential,
                           for _ in range(3))
     magnitude = np.empty((g.n, g.n))
 
-    def forward(values):
-        np.fft.fft(values, axis=1, out=spec)
-        return np.fft.fft(spec, axis=0, out=spec)
-
     def inverse(values):
         np.fft.ifft(values, axis=1, out=spec)
         return np.fft.ifft(spec, axis=0, out=kernel)
@@ -327,7 +329,8 @@ def propagate_characteristic(z: CharacteristicZ, potential: Potential,
 
     values = _strang(
         "characteristic", z.values, z.t, dt, steps,
-        forward=forward, inverse=inverse, a_phase=kinetic,
+        forward=lambda values: np.fft.fft2(values, out=spec),
+        inverse=inverse, a_phase=kinetic,
         # values first, in place: a fixed operand order fixes the rounding
         kick=lambda values: np.multiply(values, pot_full, out=values),
         readings=readings, boundary=boundary_mass,
@@ -372,7 +375,6 @@ def cross_validate(psi0: Wavefunction, potential: Potential, t_final: float,
     """
     schedule = sample_steps(sample_times, dt, psi0.t, t_final)
     report = EvolutionReport()
-    check_normalized(psi0)
     g = psi0.grid
     energy0 = expectation_operator(psi0, "H", potential)
 
@@ -408,6 +410,7 @@ def classical_trajectory(x0: float, p0: float, potential: Potential,
 
     Returns rows (t, x, p) at the times of t_grid in increasing order,
     each a whole number of steps after the previous (see sample_steps).
+    An orbit that stops being finite raises PropagationError.
     """
     if not (math.isfinite(x0) and math.isfinite(p0)):
         raise StateError(f"classical trajectory needs finite x0 and p0, "
@@ -422,13 +425,17 @@ def classical_trajectory(x0: float, p0: float, potential: Potential,
     x, p, t = float(x0), float(p0), 0.0
     rows = []
     for steps in sample_steps(t_grid, dt):
-        for _ in range(steps):
+        for step in range(1, steps + 1):
             k1x, k1p = rhs(x, p)
             k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
             k3x, k3p = rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
             k4x, k4p = rhs(x + dt * k3x, p + dt * k3p)
             x += dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
             p += dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+            if not (math.isfinite(x) and math.isfinite(p)):
+                raise PropagationError(
+                    f"classical orbit is not finite at t = {t + step * dt:g}"
+                    f": x = {x}, p = {p}")
         t += steps * dt
         rows.append((t, x, p))
     return np.array(rows)

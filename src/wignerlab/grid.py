@@ -32,8 +32,8 @@ class PhaseGrid:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.n < 8:
-            raise GridError(f"grid.n must be >= 8, got {self.n}")
+        if not (is_integer(self.n) and self.n >= 8):
+            raise GridError(f"grid.n must be an integer >= 8, got {self.n!r}")
         if not -np.inf < self.x_min < self.x_max < np.inf:   # NaN too
             raise GridError(f"bounds must be finite with x_min < x_max, "
                             f"got x_min={self.x_min}, x_max={self.x_max}")
@@ -80,9 +80,7 @@ class PhaseGrid:
 def make_grid(n: int, x_min: float, x_max: float,
               hbar: float = 1.0, mass: float = 1.0) -> PhaseGrid:
     """Construct a validated PhaseGrid (see PhaseGrid for conventions)."""
-    if not is_integer(n):   # int() would truncate 100.9
-        raise GridError(f"grid.n must be an integer, got {n!r}")
-    return PhaseGrid(n=int(n), x_min=float(x_min), x_max=float(x_max),
+    return PhaseGrid(n=n, x_min=float(x_min), x_max=float(x_max),
                      hbar=float(hbar), mass=float(mass))
 
 

@@ -84,8 +84,8 @@ def expectation_operator(psi: Wavefunction, which: str,
 def expectation_phase_space(w: WignerFunction, poly: dict) -> float:
     """integral f(x, p) W(x, p) dx dp for f a polynomial in (x, p).
 
-    poly maps exponent pairs (i, j) to coefficients; total degree is
-    capped at 4 (higher moments amplify grid-edge noise).
+    poly maps exponent pairs (i, j) to finite coefficients; total degree
+    is capped at 4 (higher moments amplify grid-edge noise).
     """
     w.check_normalized()
     g = w.grid
@@ -96,6 +96,9 @@ def expectation_phase_space(w: WignerFunction, poly: dict) -> float:
             raise StateError(
                 f"monomial x^{i} p^{j} outside supported degree "
                 f"(integer exponents, total degree <= {MAX_POLY_DEGREE})")
+        if not np.isfinite(coeff):
+            raise StateError(
+                f"coefficient of x^{i} p^{j} must be finite, got {coeff}")
         acc += coeff * float((g.x ** i) @ w.values @ (g.p ** j))
     return acc * g.dx * g.dp
 

@@ -5,11 +5,12 @@ import pytest
 
 from wignerlab import (CharacteristicZ, MonitorError, PropagationError,
                        Wavefunction, WignerFunction, cat_state,
-                       cross_validate, double_well, ehrenfest_track,
-                       free_particle, gaussian_packet, harmonic, make_grid,
-                       propagate_characteristic, propagate_moyal_exact,
-                       propagate_moyal_truncated, propagate_schrodinger,
-                       quartic, to_characteristic, wigner_transform)
+                       cross_validate, double_well, dynamics,
+                       ehrenfest_track, free_particle, gaussian_packet,
+                       harmonic, make_grid, propagate_characteristic,
+                       propagate_moyal_exact, propagate_moyal_truncated,
+                       propagate_schrodinger, quartic, to_characteristic,
+                       wigner_transform)
 from wignerlab.dynamics import _phase_space_split, boundary_mass, sample_steps
 from wignerlab.observables import expectation_operator
 from wignerlab.potentials import polynomial
@@ -475,6 +476,36 @@ def test_sample_steps_names_a_non_finite_start(t0):
     0.5 is not a multiple of dt=0.1")."""
     with pytest.raises(PropagationError, match="t0 must be finite"):
         sample_steps([0.5], 0.1, t0=t0)
+
+
+@pytest.mark.parametrize("t_final", [math.nan, math.inf, -math.inf])
+def test_sample_steps_names_a_non_finite_t_final(t_final):
+    """NaN and -inf were blamed on the sample times, and inf was taken
+    as no bound; None still is."""
+    with pytest.raises(PropagationError, match="t_final must be finite"):
+        sample_steps([0.5], 0.1, 0.0, t_final)
+    assert sample_steps([0.5], 0.1, 0.0, None) == [5]
+
+
+@pytest.mark.parametrize("times, dt, count", [
+    ([1e-290], 1e-300, "10000000000"), ([1.0], 1e-300, "9999999999")],
+    ids=["1e10-steps", "1e300-steps"])
+def test_sample_steps_refuses_a_count_above_the_bound(times, dt, count):
+    """These returned [10000000000] and a 300-digit count, which an
+    evolve run then stepped through without end."""
+    with pytest.raises(PropagationError,
+                       match=f"{count}.* steps exceed the bound MAX_STEPS"):
+        sample_steps(times, dt)
+
+
+def test_the_step_bound_holds_per_schedule_and_per_call(monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+    assert sample_steps([0.05, 0.1], 0.01) == [5, 5]
+    with pytest.raises(PropagationError, match="11 steps exceed the bound"):
+        sample_steps([0.05, 0.11], 0.01)
+    psi = gaussian_packet(make_grid(32, -6.0, 6.0), 0.0, 0.0, 1.0)
+    with pytest.raises(PropagationError, match="11 steps exceed the bound"):
+        propagate_schrodinger(psi, harmonic(1.0), 0.01, 11)
 
 
 def test_ehrenfest_track_sorts_its_times():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wignerlab import GridError, make_grid, square_grid
+from wignerlab import GridError, PhaseGrid, make_grid, square_grid
 
 
 def test_conjugacy_example_n8():
@@ -78,6 +78,14 @@ def test_non_integer_n_rejected(n):
     a bare ValueError."""
     with pytest.raises(GridError, match="must be an integer"):
         make_grid(n, -8.0, 8.0)
+
+
+@pytest.mark.parametrize("n", [64.5, 64.0, True, np.nan])
+def test_phase_grid_refuses_a_non_integer_n(n):
+    """Only make_grid checked the type: PhaseGrid(64.5, -8.0, 8.0) built
+    a grid with n = 64.5 and 65 samples on each axis."""
+    with pytest.raises(GridError, match="must be an integer"):
+        PhaseGrid(n, -8.0, 8.0)
 
 
 def test_numpy_integer_n_accepted():

@@ -1,7 +1,7 @@
-"""NaN and +/-inf at the Python API: every public constructor and
-propagator either raises a WignerlabError at set-up or returns finite
-numbers, never a silently NaN-filled result.  So does a bool where a
-count is due."""
+"""NaN, +/-inf and the tiniest floats at the Python API: every public
+constructor and propagator either raises a WignerlabError at set-up or
+returns finite numbers, never a silently NaN-filled result.  So does a
+bool where a count is due."""
 
 import math
 
@@ -11,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from wignerlab import (CharacteristicZ, GridError, PotentialError,
                        PropagationError, StateError, Tomogram, Wavefunction,
-                       WignerlabError, classical_trajectory, double_well,
+                       WignerlabError, classical_trajectory, cross_validate,
+                       double_well, ehrenfest_track,
                        expectation_phase_space, factorize_characteristic,
                        forward_tomogram, gaussian_packet, harmonic,
                        harmonic_eigenstate, make_grid, polynomial,
                        propagate_characteristic, propagate_moyal_exact,
                        propagate_moyal_truncated, propagate_schrodinger,
-                       quartic, square_grid, superpose, to_characteristic,
-                       wigner_transform)
+                       quartic, sample_steps, square_grid, superpose,
+                       to_characteristic, wigner_transform)
 
 N = 32
 GRID = make_grid(N, -6.0, 6.0)
@@ -30,11 +31,13 @@ RIGHT = gaussian_packet(GRID, 0.5, 0.0, 1.0)
 WIDE = make_grid(64, -8.0, 8.0)   # resolves the omega = 1 eigenstates
 SQUARE = wigner_transform(gaussian_packet(square_grid(N), 0.0, 0.0, 1.0))
 NON_FINITE = (math.nan, math.inf, -math.inf)
+TINY = (1e-300, 5e-324)   # the last one subnormal
 
 
 def maybe(valid, *extreme):
-    """A valid value, an extreme finite one or a non-finite one."""
-    return st.sampled_from((valid, *extreme, *NON_FINITE))
+    """A valid value, an extreme finite one, a tiny one or a non-finite
+    one."""
+    return st.sampled_from((valid, *extreme, *TINY, *NON_FINITE))
 
 
 def numbers(state) -> np.ndarray:
@@ -49,15 +52,17 @@ def numbers(state) -> np.ndarray:
        value=st.sampled_from((None, *NON_FINITE, complex(0.0, math.inf))),
        omega=maybe(1.0), lam=maybe(0.1), a=maybe(-1.0), b=maybe(0.5),
        c=maybe(0.2), x0=maybe(0.5), p0=maybe(0.3), sigma=maybe(1.0),
-       level=maybe(2), n=maybe(N), mass=maybe(1.0), angle=maybe(0.5))
+       level=maybe(2), n=maybe(N), mass=maybe(1.0), angle=maybe(0.5),
+       t_final=maybe(0.02), coeff=maybe(1.0))
 def test_non_finite_input_raises_or_stays_finite(
         x_min, x_max, re, im, mu, nu, dt, entry, value, omega, lam, a, b, c,
-        x0, p0, sigma, level, n, mass, angle):
+        x0, p0, sigma, level, n, mass, angle, t_final, coeff):
     """Bounds (+/-1e308 among them, whose dx overflows) and n of a grid,
     a coefficient, a frame, each route's dt, one kernel entry (value
     None leaves the kernel as it is), every scalar of the potential and
-    state constructors and of a classical trajectory, and a tomogram
-    angle."""
+    state constructors and of a classical trajectory, a tomogram angle,
+    the dt and t_final of a schedule, of cross_validate and (dt) of
+    ehrenfest_track, and a moment's coefficient."""
     def grid():
         g = make_grid(n, x_min, x_max)
         return g.x, g.p
@@ -90,7 +95,13 @@ def test_non_finite_input_raises_or_stays_finite(
              lambda: (Tomogram(((mu, nu),), GRID.x, np.ones((1, N))).frames,),
              route(propagate_schrodinger, PSI), route(propagate_moyal_exact, W),
              route(propagate_moyal_truncated, W, n_max=1),
-             route(propagate_characteristic, Z), kernel)
+             route(propagate_characteristic, Z), kernel,
+             lambda: (np.array(sample_steps([0.02], dt, 0.0, t_final),
+                               dtype=float),),
+             lambda: (cross_validate(PSI, harmonic(1.0), t_final, dt,
+                                     [0.02]).max_pairwise(),),
+             lambda: (ehrenfest_track(PSI, harmonic(1.0), [0.02], dt),),
+             lambda: (expectation_phase_space(W, {(1, 0): coeff}),))
     for case in cases:
         try:
             with np.errstate(all="ignore"):

@@ -86,6 +86,17 @@ def test_phase_space_exponents_must_be_integers(grid256, powers):
         expectation_phase_space(w, {powers: 1.0})
 
 
+@pytest.mark.parametrize("poly, monomial", [
+    ({(0, 0): np.nan}, r"x\^0 p\^0"), ({(1, 0): np.inf}, r"x\^1 p\^0"),
+    ({(0, 1): 1.0, (0, 2): -np.inf}, r"x\^0 p\^2")],
+    ids=["nan", "inf", "minus-inf"])
+def test_phase_space_coefficients_must_be_finite(grid256, poly, monomial):
+    """A NaN coefficient gave NaN, and inf on <x> = 0 gave -inf."""
+    w = wigner_transform(gaussian_packet(grid256, 0, 0, 1.0))
+    with pytest.raises(StateError, match=f"coefficient of {monomial}"):
+        expectation_phase_space(w, poly)
+
+
 def test_dual_route_moments_agree(battery256):
     for name, psi in battery256:
         op = moments(psi).as_dict()
@@ -186,6 +197,17 @@ def test_classical_trajectory_rejects_bad_scalars(x0, p0, mass, name):
     """These returned rows of NaN, or (mass 0) raised ZeroDivisionError."""
     with pytest.raises(StateError, match=f"{name}="):
         classical_trajectory(x0, p0, harmonic(1.0), [1.0], 0.01, mass)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("x0, potential, mass", [
+    (0.5, harmonic(1.0), 5e-324), (1e300, quartic(0.1), 1.0)],
+    ids=["subnormal-mass", "far-quartic-start"])
+def test_classical_trajectory_refuses_an_orbit_that_is_not_finite(
+        x0, potential, mass):
+    """Both returned [[0.02, nan, nan]]: p/m overflows, or V'(1e300)."""
+    with pytest.raises(PropagationError, match=r"not finite at t = 0\.01"):
+        classical_trajectory(x0, 0.3, potential, [0.02], 0.01, mass)
 
 
 def test_classical_trajectory_rejects_unreachable_time():
