@@ -400,6 +400,12 @@ def cross_validate(psi0: Wavefunction, potential: Potential, t_final: float,
             expectation_operator(psi_a, "H", potential) - energy0)
         report.boundary.append(boundary_mass(w_b.values))
         report.factorization_residual.append(residual)
+        # pairs of psi or Z over L/2 apart wrap to the x edge of the
+        # fields made from them, where no route's own monitor looks
+        for w in (w_a, w_c):
+            mass = boundary_mass(w.values)
+            if mass > BOUNDARY_FLAG:
+                flags.append(mass)
     report.boundary_flagged = bool(flags)
     return report
 

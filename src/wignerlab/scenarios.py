@@ -158,31 +158,38 @@ def _superposition(grid, components, coefficients):
     return state
 
 
-def _build(config: ScenarioConfig) -> list:
-    """[grid, initial state, potential] of a scenario."""
+def _build(config: ScenarioConfig) -> tuple:
+    """(grid, initial state, potential, runner, the runner's arguments):
+    the one path from a config to a run, every section checked first."""
+    TYPES["scenario.formats"](config.formats, "scenario.formats")
+    run, values = _section("experiment", config.experiment)
+    # the raw section: the schema's default gives every route an n_max
+    if "n_max" in config.experiment and values["route"] != "truncated":
+        raise ConfigError("experiment.n_max: only the truncated route takes "
+                          f"n_max, not route {values['route']!r}")
     built = []
     for section in ("grid", "state", "potential"):
-        build, values = _section(section, getattr(config, section))
+        build, section_values = _section(section, getattr(config, section))
         try:
             # the state and the potential are built on the grid
-            built.append(build(*built[:1], **values))
+            built.append(build(*built[:1], **section_values))
         except (ValueError, ArithmeticError) as exc:
             # the constructors' own parameter checks (harmonic,
             # double_well), or a value too large to square
             raise ConfigError(f"{section}: {exc}") from exc
-    return built
+    grid, psi, potential = built
+    if "t_final" in values:   # evolve and validate: null means [t_final]
+        values["sample_times"] = values["sample_times"] or [values["t_final"]]
+    if "dt" in values:
+        sample_steps(values.get("sample_times", values.get("t_grid")),
+                     values["dt"], psi.t, values.get("t_final"))
+    return grid, psi, potential, run, values
 
 
 def _parse_config(doc: dict, default_name: str) -> ScenarioConfig:
     build, values = _section("scenario", {"name": default_name, **doc})
     config = build(**values)
-    # check and build every section now, so a bad config fails on load
-    experiment = config.experiment
-    _section("experiment", experiment)
-    if "n_max" in experiment and experiment["route"] != "truncated":
-        raise ConfigError("experiment.n_max: only the truncated route takes "
-                          f"n_max, not route {experiment['route']!r}")
-    _build(config)
+    _build(config)   # so a bad config fails on load
     return config
 
 
@@ -334,36 +341,33 @@ def _run_evolve(grid, psi, potential, save, route, dt, t_final,
                  "characteristic": propagate_characteristic,
                  "truncated": partial(propagate_moyal_truncated,
                                       n_max=n_max)}[route]
+    kernel = route == "characteristic"
     state = psi if route == "schrodinger" else wigner_transform(psi)
-    if route == "characteristic":
-        state = to_characteristic(state)
+    state = to_characteristic(state) if kernel else state
     flags: list = []
     series = []
-    for steps in sample_steps(sample_times or [t_final], dt, psi.t, t_final):
+    for steps in sample_steps(sample_times, dt, psi.t, t_final):
         state = propagate(state, potential, dt, steps, boundary_flags=flags)
-        if route != "characteristic":
-            w = wigner_transform(state) if route == "schrodinger" else state
-            report = moments(w).as_dict()
-            series.append((state.t,) + tuple(report.values()))
-    if route == "characteristic":
-        final = state.values
-        drift = state.diagonal_total() - 1.0
-        metrics = {"hermiticity_defect": state.hermiticity_defect(),
-                   "final_time": state.t}
+        # a sample reads one field: the Wigner field, or the kernel
+        field = wigner_transform(state) if route == "schrodinger" else state
+        if not kernel:
+            report = moments(field).as_dict()
+            series.append((field.t, *report.values()))
+    save("final.wig1", field.values, grid, field.t)
+    metrics = {"final_time": field.t}
+    if kernel:
+        metrics["hermiticity_defect"] = field.hermiticity_defect()
+        drift = field.diagonal_total()
     else:
-        final = w.values
-        drift = (norm(state) ** 2 if route == "schrodinger"
-                 else w.total()) - 1.0
-        metrics = {"final_time": state.t, "final_moments": report}
-    save("final.wig1", final, grid, state.t)
-    if series:
+        metrics["final_moments"] = report
+        drift = norm(state) ** 2 if route == "schrodinger" else field.total()
         save("series.csv", ("t", *report), series)
-    return metrics, dict(_monitors(drift, final), boundary_flagged=bool(flags))
+    return metrics, dict(_monitors(drift - 1.0, field.values),
+                         boundary_flagged=bool(flags))
 
 
 def _run_validate(grid, psi, potential, save, dt, t_final, sample_times):
-    report = cross_validate(psi, potential, t_final, dt,
-                            sample_times or [t_final])
+    report = cross_validate(psi, potential, t_final, dt, sample_times)
     metrics = {
         "max_pairwise": report.max_pairwise(),
         "max_factorization_residual": max(report.factorization_residual),
@@ -424,8 +428,9 @@ TYPES = {
     "scenario.name": _expect("a non-empty string",
                              lambda value: isinstance(value, str) and value),
     "scenario.formats": lambda value, context: tuple(_expect(
-        f"a non-empty subset of {FORMATS}", lambda v: isinstance(v, list)
-        and v and all(f in FORMATS for f in v))(value, context)),
+        f"a non-empty subset of {FORMATS}",
+        lambda v: isinstance(v, (list, tuple)) and v
+        and all(f in FORMATS for f in v))(value, context)),
     **{f"scenario.{section}": lambda value, context: copy.deepcopy(
         _acyclic(value, context))
        for section in ("grid", "state", "potential", "experiment")},
@@ -514,8 +519,7 @@ def run_scenario(config: ScenarioConfig, output_dir) -> dict:
     from . import __version__
 
     started = time.perf_counter()
-    grid, psi, potential = _build(config)
-    run, values = _section("experiment", config.experiment)
+    grid, psi, potential, run, values = _build(config)
     pending: dict = {}
 
     def save(name, *args):

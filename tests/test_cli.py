@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wignerlab import (ConfigError, __version__, free_particle,
-                       gaussian_packet, make_grid, norm,
+from wignerlab import (ConfigError, PropagationError, __version__,
+                       free_particle, gaussian_packet, make_grid, norm,
                        propagate_characteristic, propagate_moyal_exact,
                        propagate_moyal_truncated, propagate_schrodinger,
                        quartic, to_characteristic, wigner_transform)
@@ -240,11 +240,15 @@ def write_late_evolve(tmp_path):
 ])
 def test_failed_run_leaves_no_output(tmp_path, capsys, write, code,
                                      message):
-    """Failures found while the scenario runs, after the config loaded:
-    a validate or evolve sample time past t_final, and a tripped
-    monitor."""
+    """A validate or evolve sample time past t_final, which load_config
+    refuses as a physics precondition, and a monitor tripped while the
+    scenario runs, after the config loaded."""
     config = write(tmp_path)
-    load_config(config)
+    if code == 3:
+        with pytest.raises(PropagationError, match=re.escape(message)):
+            load_config(config)
+    else:
+        load_config(config)
     out = tmp_path / "o"
     assert main(["run", str(config), "--output", str(out)]) == code
     assert message in capsys.readouterr().err

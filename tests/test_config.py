@@ -10,9 +10,10 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wignerlab import ConfigError, WignerlabError
+from wignerlab import ConfigError, PropagationError, WignerlabError
 from wignerlab.cli import main
-from wignerlab.scenarios import SCHEMA, load_config
+from wignerlab.scenarios import (SCHEMA, ScenarioConfig, load_config,
+                                 run_scenario)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -121,9 +122,52 @@ def test_self_containing_superposition_is_config_error(tmp_path, capsys):
 def test_unreachable_sample_times_fail_before_output(tmp_path, capsys,
                                                      experiment):
     path = write_config(tmp_path, doc_with(experiment=experiment))
+    with pytest.raises(PropagationError, match="not a multiple of dt"):
+        load_config(path)
     out = tmp_path / "o"
     assert main(["run", str(path), "--output", str(out)]) == 3
     assert "not a multiple of dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_load_config_refuses_a_schedule_over_the_step_bound(tmp_path,
+                                                           capsys):
+    """10**10 steps: loading runs the scheduler, so the config is refused
+    before any run, with the run's message and exit code 3."""
+    path = write_config(tmp_path, doc_with(experiment={
+        "kind": "evolve", "route": "schrodinger", "dt": 1.0e-300,
+        "t_final": 1.0e-290}))
+    message = "10000000000 steps exceed the bound MAX_STEPS"
+    with pytest.raises(PropagationError, match=message):
+        load_config(path)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--output", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def config_in_code(**changes):
+    return ScenarioConfig(**{
+        "name": "in-code", "grid": dict(GAUSSIAN),
+        "state": {"kind": "gaussian"}, "potential": {"kind": "free"},
+        "experiment": {"kind": "wigner"}, "formats": ("json",), **changes})
+
+
+@pytest.mark.parametrize("config,message", [
+    (config_in_code(experiment={"kind": "evolve", "route": "moyal",
+                                "dt": 0.01, "t_final": 0.02, "n_max": 7}),
+     "experiment.n_max: only the truncated route takes n_max"),
+    (config_in_code(formats=("pdf",)), "scenario.formats"),
+    (config_in_code(formats=()), "scenario.formats"),
+], ids=["stray-n_max", "unknown-format", "no-format"])
+def test_run_scenario_checks_a_config_built_in_code(tmp_path, config,
+                                                    message):
+    """A ScenarioConfig built in code gets the checks load_config makes:
+    the moyal run used to ignore n_max and record it, and the unknown
+    format ran to a manifest listing no artifacts."""
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match=message):
+        run_scenario(config, out)
     assert not out.exists()
 
 
