@@ -14,6 +14,10 @@ from .errors import GridError, is_integer
 
 __all__ = ["PhaseGrid", "make_grid", "square_grid"]
 
+# One n x n complex array at this bound takes 1 GiB; the largest n a
+# built-in uses is 1024.
+MAX_N = 8192
+
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -32,8 +36,9 @@ class PhaseGrid:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (is_integer(self.n) and self.n >= 8):
-            raise GridError(f"grid.n must be an integer >= 8, got {self.n!r}")
+        if not (is_integer(self.n) and 8 <= self.n <= MAX_N):
+            raise GridError(f"grid.n must be an integer in 8..{MAX_N}, "
+                            f"got {self.n!r}")
         if not -np.inf < self.x_min < self.x_max < np.inf:   # NaN too
             raise GridError(f"bounds must be finite with x_min < x_max, "
                             f"got x_min={self.x_min}, x_max={self.x_max}")

@@ -16,11 +16,14 @@ WIG1 layout (little-endian throughout):
 
 CSV cells are written with 17 significant digits, which round-trips
 IEEE-754 doubles exactly; JSON reports use sorted keys and a fixed
-separator style so identical inputs produce identical bytes.
+separator style so identical inputs produce identical bytes.  A grid
+table (GridRows) is written a block of rows at a time, one block per
+lead value, in the same bytes as its rows written one by one.
 """
 
 import json
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .grid import PhaseGrid
 
 __all__ = [
     "write_field", "read_field", "write_csv", "write_json", "format_float",
+    "GridRows",
 ]
 
 MAGIC = b"WIG1FLD\x00"
@@ -85,12 +89,34 @@ def format_float(value) -> str:
     return format(float(value), ".17g")
 
 
+class GridRows(NamedTuple):
+    """The rows (lead[i], follow[j], values[i, j]) of a numeric grid
+    table, lead-major: values has shape (len(lead), len(follow))."""
+
+    lead: object
+    follow: object
+    values: np.ndarray
+
+
 def write_csv(path, header, rows) -> None:
     """Write a table with a header row; numeric cells are lossless.
 
-    "%.17g" formats a number as format_float does; a row holding a
-    string cell falls back to formatting cell by cell.
+    rows is a GridRows or an iterable of rows.  "%.17g" formats a
+    number as format_float does; a row holding a string cell falls
+    back to formatting cell by cell.
     """
+    if isinstance(rows, GridRows):
+        # Each follow value is formatted once, into a block template with
+        # a "%s" lead slot and a "%.17g" w cell a row; formatted numbers
+        # hold no "%", so a block takes one replace and one %-format.
+        block = "".join("%s," + format_float(x) + ",%.17g\n"
+                        for x in rows.follow)
+        with open(path, "w", newline="") as handle:
+            handle.write(",".join(header) + "\n")
+            for lead, row in zip(rows.lead, rows.values, strict=True):
+                handle.write(block.replace("%s", format_float(lead))
+                             % tuple(row.tolist()))
+        return
     lines = [",".join(header)]
     template = ",".join(["%.17g"] * len(header))
     for row in rows:

@@ -312,8 +312,7 @@ def _run_wigner(grid, psi, potential, save):
     }
     save("wigner.wig1", w.values, grid, w.t)
     save("wigner.csv", ("x", "p", "w"),
-         zip(np.repeat(grid.x, grid.n), np.tile(grid.p, grid.n),
-             w.values.ravel()))
+         wio.GridRows(grid.x, grid.p, w.values))
     return metrics, _monitors(norm(psi) ** 2 - 1.0, w.values)
 
 
@@ -398,10 +397,8 @@ def _run_tomo(grid, psi, potential, save, n_angles):
                "min_w_source": float(w.values.min()),
                "min_w_reconstructed": float(rec.values.min()),
                "min_before_clip": tomo.min_before_clip}
-    n_x = len(tomo.x_axis)
     save("tomogram.csv", ("theta", "X", "w"),
-         zip(np.repeat(angles, n_x), np.tile(tomo.x_axis, len(angles)),
-             tomo.values.ravel()))
+         wio.GridRows(angles, tomo.x_axis, tomo.values))
     save("tomogram.wig1", tomo.values, grid, w.t)
     save("reconstruction.wig1", rec.values, grid, w.t)
     return metrics, _monitors(w.total() - 1.0, w.values)

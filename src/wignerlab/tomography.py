@@ -141,7 +141,7 @@ def forward_tomogram(w: WignerFunction, angles) -> Tomogram:
     fine[keep] = w.values / np.outer(kernel_hat, kernel_hat)
     spectrum = np.zeros((m, m), dtype=complex)
     spectrum[:, keep] = np.fft.fft(fine, axis=0)
-    flat = np.fft.fft(spectrum, axis=1).reshape(-1)
+    flat = np.fft.fft(spectrum, axis=1, out=spectrum).reshape(-1)
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
 
     spectra = np.empty((len(angles), len(k)), dtype=complex)
@@ -246,7 +246,8 @@ def inverse_tomogram(tomo: Tomogram, target_grid: PhaseGrid) -> WignerFunction:
         np.add.at(flat, (ix[:, :, None] * m + ip[:, None, :]).ravel(),
                   ((c[:, None] * wx)[:, :, None] * wp[:, None, :]).ravel())
 
-    out = np.fft.fft(np.fft.fft(acc, axis=0)[keep], axis=1)[:, keep].real
+    rows = np.fft.fft(acc, axis=0, out=acc)[keep]
+    out = np.fft.fft(rows, axis=1, out=rows)[:, keep].real
     out /= np.outer(kernel_hat, kernel_hat)
 
     ring = np.concatenate([out[0, :], out[-1, :], out[1:-1, 0],

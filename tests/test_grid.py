@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wignerlab import GridError, PhaseGrid, make_grid, square_grid
+from wignerlab.grid import MAX_N
 
 
 def test_conjugacy_example_n8():
@@ -86,6 +87,18 @@ def test_phase_grid_refuses_a_non_integer_n(n):
     a grid with n = 64.5 and 65 samples on each axis."""
     with pytest.raises(GridError, match="must be an integer"):
         PhaseGrid(n, -8.0, 8.0)
+
+
+@pytest.mark.parametrize("n", [10 ** 30, MAX_N + 1])
+def test_grid_size_is_bounded(n):
+    """make_grid(10**30, -8, 8) used to return a grid whose first axis
+    failed with a numpy error; the refusal comes before any array."""
+    for build in (lambda: make_grid(n, -8.0, 8.0),
+                  lambda: PhaseGrid(n, -8.0, 8.0), lambda: square_grid(n)):
+        with pytest.raises(GridError, match=f"grid.n must be an integer "
+                                            f"in 8..{MAX_N}"):
+            build()
+    assert make_grid(MAX_N, -8.0, 8.0).n == MAX_N
 
 
 def test_numpy_integer_n_accepted():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wignerlab import ConfigError, make_grid
-from wignerlab.io import (format_float, read_field, write_csv, write_field,
-                          write_json)
+from wignerlab.io import (GridRows, format_float, read_field, write_csv,
+                          write_field, write_json)
 
 GRID = make_grid(64, -8.0, 8.0)
 GRID_META = {"dx": GRID.dx, "dp": GRID.dp, "x_min": GRID.x_min,
@@ -110,6 +110,29 @@ def test_csv_numeric_rows_match_per_cell_formatting(tmp_path):
     expected = ["a,b,c"] + [
         ",".join(cell if isinstance(cell, str) else format_float(cell)
                  for cell in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+@pytest.mark.parametrize("lead, follow, values", [
+    ([0.0, np.pi / 3, -0.0], np.array([-1.5, 5e-324, 1e308]),
+     np.array([[-0.0, 5e-324, 1e308], [np.inf, -np.inf, np.nan],
+               [0.1, 1.0 / 3.0, -2.5e-17]])),
+    (np.array([np.inf, -np.inf, np.nan, 1e-300]), np.array([0.25, -0.0]),
+     np.arange(8.0).reshape(4, 2) / 7.0),
+    ([2.0], np.linspace(-1.0, 1.0, 5), np.array([[1e308, -0.0, 5e-324,
+                                                  np.nan, -np.inf]])),
+    (np.linspace(-1.0, 1.0, 5), np.array([np.pi]),
+     np.array([[0.1], [-0.0], [5e-324], [np.inf], [np.nan]])),
+])
+def test_csv_grid_rows_match_per_cell_formatting(tmp_path, lead, follow,
+                                                 values):
+    """A grid table is written a block at a time in the bytes of its
+    rows (lead[i], follow[j], values[i, j]) formatted cell by cell."""
+    path = tmp_path / "grid.csv"
+    write_csv(path, ("a", "b", "w"), GridRows(lead, follow, values))
+    expected = ["a,b,w"] + [
+        ",".join(format_float(cell) for cell in (a, b, values[i, j]))
+        for i, a in enumerate(lead) for j, b in enumerate(follow)]
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 

@@ -7,7 +7,9 @@ from wignerlab import (TomographyError, Tomogram, cat_state, forward_tomogram,
                        gaussian_packet, harmonic_eigenstate, inverse_tomogram,
                        make_grid, marginal_momentum, marginal_position,
                        square_grid, wigner_transform)
+from wignerlab.io import read_field
 from wignerlab.observables import expectation_operator
+from wignerlab.scenarios import load_config, run_scenario
 from wignerlab.tomography import PAD_FACTOR, _ramp_filter
 from wignerlab.wigner import WignerFunction
 
@@ -351,3 +353,26 @@ def test_scaled_frames_rejected(sq128):
 def test_non_finite_frame_rejected(sq128, frame):
     with pytest.raises(TomographyError, match="unit rotations"):
         Tomogram((frame,), sq128.x, np.zeros((1, sq128.n)))
+
+
+def test_tomo_scenario_csv_is_the_wig1_tomogram(tmp_path):
+    """tomogram.csv is theta-major over the requested angles and the
+    tomogram's X axis, and its w column is the tomogram.wig1 payload
+    bit for bit."""
+    n, n_angles = 64, 36
+    path = tmp_path / "tomo.yaml"
+    path.write_text(f"grid: {{n: {n}, square: true}}\n"
+                    "state: {kind: cat, x0: 1.5, sigma: 0.7}\n"
+                    f"experiment: {{kind: tomo, n_angles: {n_angles}}}\n")
+    out = tmp_path / "o"
+    run_scenario(load_config(path), out)
+    lines = (out / "tomogram.csv").read_text().splitlines()
+    assert lines[0] == "theta,X,w"
+    table = np.array([[float(cell) for cell in line.split(",")]
+                      for line in lines[1:]])
+    payload, _ = read_field(out / "tomogram.wig1")
+    angles = [i * np.pi / n_angles for i in range(n_angles)]
+    assert np.array_equal(table[:, 0], np.repeat(angles, n))
+    assert np.array_equal(table[:, 1], np.tile(square_grid(n).x, n_angles))
+    assert payload.shape == (n_angles, n)
+    assert table[:, 2].tobytes() == payload.tobytes()
