@@ -17,6 +17,7 @@ tracking runs route (a) beside a classical RK4 orbit.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 import math
 
 import numpy as np
@@ -106,6 +107,16 @@ def boundary_mass(values: np.ndarray) -> float:
     return edge_sum / total
 
 
+def _check_boundary(route: str, step: int, t: float, mass: float,
+                    flags: list | None) -> None:
+    """MonitorError above BOUNDARY_HARD (NaN too); flag above BOUNDARY_FLAG."""
+    if not mass <= BOUNDARY_HARD:
+        raise MonitorError(route, step, t, "boundary mass", mass,
+                           BOUNDARY_HARD)
+    if flags is not None and mass > BOUNDARY_FLAG:
+        flags.append(mass)
+
+
 def _strang(route: str, values: np.ndarray, t0: float, dt: float,
             steps: int, forward, inverse, a_phase, kick, readings,
             boundary, flags: list | None) -> np.ndarray:
@@ -114,9 +125,9 @@ def _strang(route: str, values: np.ndarray, t0: float, dt: float,
     a_phase(tau) multiplies forward(state) to apply e^{A tau}; kick
     applies e^{B dt}.  Merging the half steps leaves the state half an A
     step short of t0 + s*dt after step s < steps.  After each step every
-    (quantity, value, threshold) of readings(values, spec) and the
-    boundary mass must stay within threshold (NaN trips too), else
-    MonitorError; boundary masses above BOUNDARY_FLAG go to flags.
+    (quantity, value, threshold) of readings(values, spec) must stay
+    within threshold (NaN trips too), else MonitorError, and then
+    _check_boundary rules on the boundary mass.
     """
     a_full = a_phase(dt)
     a_half = a_phase(0.5 * dt)
@@ -126,14 +137,11 @@ def _strang(route: str, values: np.ndarray, t0: float, dt: float,
         spec *= a_full if step < steps else a_half
         values = inverse(spec)
         mass = boundary(values)
-        for quantity, value, threshold in (
-                *readings(values, spec),
-                ("boundary mass", mass, BOUNDARY_HARD)):
+        for quantity, value, threshold in readings(values, spec):
             if not value <= threshold:
                 raise MonitorError(route, step, t0 + step * dt, quantity,
                                    value, threshold)
-        if flags is not None and mass > BOUNDARY_FLAG:
-            flags.append(mass)
+        _check_boundary(route, step, t0 + step * dt, mass, flags)
     return values
 
 
@@ -372,6 +380,7 @@ def cross_validate(psi0: Wavefunction, potential: Potential, t_final: float,
 
     sample_steps schedules sample_times, in any order, from psi0.t
     within [psi0.t, t_final].  An empty request produces an empty report.
+    The fields made from psi and Z pass _check_boundary as the routes do.
     """
     schedule = sample_steps(sample_times, dt, psi0.t, t_final)
     report = EvolutionReport()
@@ -382,7 +391,7 @@ def cross_validate(psi0: Wavefunction, potential: Potential, t_final: float,
     w_b = wigner_transform(psi0)
     z_c = to_characteristic(w_b)
     flags: list = []
-    for steps in schedule:
+    for steps_run, steps in zip(accumulate(schedule), schedule):
         psi_a = propagate_schrodinger(psi_a, potential, dt, steps, flags)
         w_b = propagate_moyal_exact(w_b, potential, dt, steps, flags)
         z_c = propagate_characteristic(z_c, potential, dt, steps, flags)
@@ -402,10 +411,9 @@ def cross_validate(psi0: Wavefunction, potential: Potential, t_final: float,
         report.factorization_residual.append(residual)
         # pairs of psi or Z over L/2 apart wrap to the x edge of the
         # fields made from them, where no route's own monitor looks
-        for w in (w_a, w_c):
-            mass = boundary_mass(w.values)
-            if mass > BOUNDARY_FLAG:
-                flags.append(mass)
+        for route, w in (("schrodinger", w_a), ("characteristic", w_c)):
+            _check_boundary(route, steps_run, psi_a.t,
+                            boundary_mass(w.values), flags)
     report.boundary_flagged = bool(flags)
     return report
 

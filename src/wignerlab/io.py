@@ -14,11 +14,10 @@ WIG1 layout (little-endian throughout):
     ...     payload     row-major f64; complex fields store interleaved
                         (real, imag) pairs
 
-CSV cells are written with 17 significant digits, which round-trips
-IEEE-754 doubles exactly; JSON reports use sorted keys and a fixed
-separator style so identical inputs produce identical bytes.  A grid
-table (GridRows) is written a block of rows at a time, one block per
-lead value, in the same bytes as its rows written one by one.
+CSV numbers have 17 significant digits, which round-trips IEEE-754
+doubles exactly; a grid table (GridRows) is written a block of rows at a
+time and any other table cell by cell.  JSON reports use sorted keys and
+a fixed separator style so identical inputs produce identical bytes.
 """
 
 import json
@@ -101,9 +100,8 @@ class GridRows(NamedTuple):
 def write_csv(path, header, rows) -> None:
     """Write a table with a header row; numeric cells are lossless.
 
-    rows is a GridRows or an iterable of rows.  "%.17g" formats a
-    number as format_float does; a row holding a string cell falls
-    back to formatting cell by cell.
+    rows is a GridRows or an iterable of rows; a string cell is written
+    as it is and any other cell by format_float.
     """
     if isinstance(rows, GridRows):
         # Each follow value is formatted once, into a block template with
@@ -118,15 +116,8 @@ def write_csv(path, header, rows) -> None:
                              % tuple(row.tolist()))
         return
     lines = [",".join(header)]
-    template = ",".join(["%.17g"] * len(header))
-    for row in rows:
-        row = tuple(row)
-        try:
-            lines.append(template % row)
-        except TypeError:
-            lines.append(",".join(
-                cell if isinstance(cell, str) else format_float(cell)
-                for cell in row))
+    lines += [",".join(cell if isinstance(cell, str) else format_float(cell)
+                       for cell in row) for row in rows]
     with open(path, "w", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
 

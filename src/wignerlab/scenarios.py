@@ -30,7 +30,7 @@ from .dynamics import (_ehrenfest, boundary_mass, cross_validate,
                        propagate_moyal_truncated, propagate_schrodinger,
                        sample_steps)
 from .errors import ConfigError, is_integer
-from .grid import make_grid, square_grid
+from .grid import MAX_N, make_grid, square_grid
 from .observables import moments, negativity, purity
 from .potentials import (double_well, free_particle, harmonic, polynomial,
                          quartic)
@@ -449,8 +449,8 @@ TYPES = {
     "experiment.t_grid": _list_of(_number),
     "experiment.n_max": _expect("an integer >= 0",
                                 lambda v: is_integer(v) and v >= 0),
-    "experiment.n_angles": _expect("an integer >= 2",
-                                   lambda v: is_integer(v) and v >= 2),
+    "experiment.n_angles": _expect(f"an integer in 2..{MAX_N}",
+                                   lambda v: is_integer(v) and 1 < v <= MAX_N),
 }
 
 # section -> kind -> (builder or runner, required keys, optional keys with

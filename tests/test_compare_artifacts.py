@@ -1,5 +1,11 @@
 """The artifact differ's per-file verdicts (tools/compare_artifacts.py)."""
 
+import numpy as np
+import pytest
+
+from wignerlab import ConfigError, make_grid
+from wignerlab.io import write_field, write_json
+
 from conftest import compare_artifacts
 
 
@@ -56,3 +62,45 @@ def test_parameter_diff_counts_and_names_one_sided_parameters():
         "added: g(z), new(w)"]
     assert compare_artifacts.parameter_diff(base, base) == [
         "public parameters 4 → 4"]
+
+
+def write_fields(tmp_path, name, base, work):
+    grid = make_grid(8, -4.0, 4.0)
+    for side, values in (("base", base), ("work", work)):
+        (tmp_path / side).mkdir(exist_ok=True)
+        write_field(tmp_path / side / name, values, grid)
+    return compare_artifacts.compare_file(tmp_path / "base" / name,
+                                          tmp_path / "work" / name)
+
+
+def test_wig1_verdicts(tmp_path):
+    """Payloads are read by io.read_field and compared number by number."""
+    real = np.arange(12.0).reshape(3, 4)
+    assert write_fields(tmp_path, "same.wig1", real, real.copy()) == ""
+    moved = real.copy()
+    moved[1, 2] += 0.5
+    assert write_fields(tmp_path, "real.wig1", real, moved) \
+        == "bytes differ, payload max |diff| 5.000e-01"
+    assert write_fields(tmp_path, "complex.wig1", real + 1j * real,
+                        real + 1j * moved) \
+        == "bytes differ, payload max |diff| 5.000e-01"
+    assert write_fields(tmp_path, "shape.wig1", real, real.reshape(4, 3)) \
+        == "shape (3, 4) -> (4, 3)"
+    cut = tmp_path / "work" / "real.wig1"
+    cut.write_bytes(cut.read_bytes()[:-8])
+    with pytest.raises(ConfigError, match="truncated payload"):
+        compare_artifacts.compare_file(tmp_path / "base" / "real.wig1", cut)
+
+
+def test_reference_samples_a_complex_payload_as_interleaved_parts(tmp_path):
+    folder = tmp_path / "scenario"
+    folder.mkdir()
+    write_json(folder / "manifest.json", {"n": 24, "label": "z", "ok": True})
+    values = (np.arange(576.0) + 1j * -np.arange(576.0)).reshape(24, 24)
+    write_field(folder / "z.wig1", values, make_grid(24, -4.0, 4.0))
+    parts = np.column_stack([values.real.ravel(), values.imag.ravel()]).ravel()
+    summary = compare_artifacts.reference(tmp_path)
+    assert summary == {"scenario": {
+        "manifest.json": {"n": 24},
+        "z.wig1": {"sum": 0.0, "l2": float(np.linalg.norm(parts)),
+                   "max_abs": 575.0, "sample": [0.0, -254.0, 509.0]}}}

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wignerlab import ConfigError, PropagationError, WignerlabError
 from wignerlab.cli import main
+from wignerlab.grid import MAX_N
 from wignerlab.scenarios import (SCHEMA, ScenarioConfig, load_config,
                                  run_scenario)
 
@@ -144,6 +145,19 @@ def test_load_config_refuses_a_schedule_over_the_step_bound(tmp_path,
     assert main(["run", str(path), "--output", str(out)]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n_angles", [MAX_N + 1, 10 ** 30])
+def test_n_angles_is_bounded(tmp_path, n_angles):
+    """A tomogram of n_angles rows is refused on load above grid.MAX_N;
+    nothing is run, so no list of angles is built."""
+    path = write_config(tmp_path, doc_with(
+        grid={"n": 64, "square": True},
+        experiment={"kind": "tomo", "n_angles": n_angles}))
+    with pytest.raises(ConfigError, match=(
+            f"experiment.n_angles: expected an integer in 2..{MAX_N}, "
+            f"got {n_angles}")):
+        load_config(path)
 
 
 def config_in_code(**changes):

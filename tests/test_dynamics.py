@@ -13,8 +13,9 @@ from wignerlab import (CharacteristicZ, MonitorError, PropagationError,
                        propagate_moyal_truncated, propagate_schrodinger,
                        quartic, superpose, to_characteristic,
                        wigner_transform)
-from wignerlab.dynamics import (BOUNDARY_FLAG, _phase_space_split,
-                                boundary_mass, sample_steps)
+from wignerlab.dynamics import (BOUNDARY_FLAG, BOUNDARY_HARD,
+                                _phase_space_split, boundary_mass,
+                                sample_steps)
 from wignerlab.observables import expectation_operator
 from wignerlab.potentials import polynomial
 from wignerlab.wigner import _hermiticity_defect
@@ -429,15 +430,32 @@ def test_cross_validate_flags_boundary_mass():
 
 def test_cross_validate_flags_a_pair_wrapped_to_the_edge():
     """A free cat whose halves fly apart: pairs of psi more than L/2 apart
-    wrap to the x edge of the Wigner fields made from psi and from Z, and
-    the routes part by 1.2e-3.  The Moyal field, report.boundary and each
-    route's own monitor stay below the flag, so the run went unflagged."""
+    wrap to the x edge of the Wigner fields made from psi and from Z.  At
+    t = 0.1 those fields hold 8.0e-6 of their mass at the edge and the
+    routes part by 3.3e-6; the Moyal field, report.boundary and each
+    route's own monitor stay below the flag, so those two flag the run."""
     g = make_grid(96, -6.5, 6.5)
     report = cross_validate(cat_state(g, 1.5, 0.3, 2.0), free_particle(),
-                            0.2, 0.01, [0.2])
-    assert report.max_pairwise() > 1e-4
+                            0.1, 0.01, [0.1])
+    assert 1e-6 < report.max_pairwise() < 1e-5
     assert report.boundary[-1] < BOUNDARY_FLAG
     assert report.boundary_flagged
+
+
+def test_cross_validate_stops_a_pair_wrapped_past_the_hard_bound():
+    """The same cat at t = 0.2: the field made from psi holds 2.5e-3 of
+    its mass at the edge, past BOUNDARY_HARD, and its routes would part
+    by 1.2e-3, so the run stops as a propagated field's would."""
+    g = make_grid(96, -6.5, 6.5)
+    with pytest.raises(MonitorError) as caught:
+        cross_validate(cat_state(g, 1.5, 0.3, 2.0), free_particle(),
+                       0.2, 0.01, [0.1, 0.2])
+    error = caught.value
+    assert (error.route, error.step, error.quantity) == (
+        "schrodinger", 20, "boundary mass")
+    assert error.t == pytest.approx(0.2)
+    assert error.threshold == BOUNDARY_HARD
+    assert 2e-3 < error.value < 3e-3
 
 
 COORD = st.floats(-2.0, 2.0)
@@ -470,12 +488,12 @@ def test_three_routes_agree_on_drawn_inputs(n, half_width, state,
     A completed run that is not boundary_flagged keeps max_pairwise
     within 1e-5, criterion 2's bound: its routes run one Strang
     splitting in three representations, so what parts them is rounding
-    and the transforms, not the time step.  Of these 200 draws 88 are
-    refused (46 StateError, 39 MonitorError, 3 NormalizationError); of
-    the 112 that complete, 44 run unflagged with a worst gap of 1.5e-8,
-    and the 68 flagged ones reach 1.2e-4.  Over 9,000 draws of six
-    other seeds the worst unflagged gap was 8.9e-8; without the flag on
-    the fields made from psi and Z (see
+    and the transforms, not the time step.  Of these 200 draws (with
+    hypothesis 6.155.2) 113 are refused (78 StateError, 35
+    MonitorError); of the 87 that complete, 26 run unflagged with a
+    worst gap of 7.4e-9, and the 61 flagged ones reach 3.0e-5.  Over
+    9,000 draws of six other seeds the worst unflagged gap was 8.9e-8;
+    without the flag on the fields made from psi and Z (see
     test_cross_validate_flags_a_pair_wrapped_to_the_edge), one of them
     would run unflagged at 1.9e-5.
     """

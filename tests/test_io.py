@@ -99,8 +99,8 @@ def test_csv_roundtrip(tmp_path):
 
 
 def test_csv_numeric_rows_match_per_cell_formatting(tmp_path):
-    """All-numeric rows take one %-format; rows with a string cell are
-    formatted cell by cell.  Both give the same text for each number."""
+    """A table that is not a GridRows is written cell by cell: a string
+    as it is, and an int, float or numpy scalar by format_float."""
     rows = [(-0.0, 1e-300, 1e308), (3, -7, 10 ** 20),
             (np.float64(0.1), np.float32(0.1), np.int64(-5)),
             ("label", np.float64(1.0 / 3.0), 2),

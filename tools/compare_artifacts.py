@@ -12,8 +12,8 @@ bench configs are the working tree's; the built-ins are each tree's own.
 Prints one line per scenario: the number of byte-identical files, then
 each file that differs or exists on one side only, with the max-abs
 difference of its numbers where they pair up:
-  - WIG1 fields: the payload, read by the layout documented in
-    wignerlab/io.py;
+  - WIG1 fields: the payload, read by the working tree's
+    wignerlab.io.read_field;
   - JSON files: the numeric leaves at matching key paths, naming every
     key path found on one side only and every leaf that differs;
   - CSV files of equal shape: the cells that parse as numbers on both
@@ -35,7 +35,6 @@ number beyond those tolerances rewrites the file in the same commit.
 import argparse
 import csv
 import json
-import struct
 import subprocess
 import sys
 import tempfile
@@ -44,6 +43,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))   # the working tree's WIG1 reader
+from wignerlab.io import read_field
+
 CONFIG_DIRS = ("bench/configs", "bench/smoke")
 UNCOMPARED = {"timing.json"}
 REFERENCE = ROOT / "tests" / "reference" / "builtins.json"
@@ -114,15 +116,6 @@ def parameter_diff(base: dict, work: dict) -> list:
     return lines
 
 
-def read_payload(path: Path) -> np.ndarray:
-    """A WIG1 file's values, parsed by the documented layout."""
-    blob = path.read_bytes()
-    _, rank, flags, _ = struct.unpack_from("<IIII", blob, 8)
-    dims = struct.unpack_from(f"<{rank}Q", blob, 24)
-    dtype = "<c16" if flags & 1 else "<f8"
-    return np.frombuffer(blob, dtype, offset=24 + 8 * rank + 48).reshape(dims)
-
-
 def reference(out: Path) -> dict:
     """{scenario: {file: {quantity: number}}} of the scenario folders in
     out: every numeric leaf of manifest.json, and the sum, L2 norm,
@@ -135,7 +128,7 @@ def reference(out: Path) -> dict:
             key: value for key, value in leaves.items()
             if isinstance(value, (int, float)) and not isinstance(value, bool)}}
         for path in sorted(folder.glob("*.wig1")):
-            values = read_payload(path).ravel().view(np.float64)
+            values = read_field(path)[0].ravel().view(np.float64)
             files[path.name] = {
                 "sum": float(np.sum(values)),
                 "l2": float(np.linalg.norm(values)),
@@ -247,7 +240,7 @@ def compare_file(base: Path, work: Path) -> str:
         return compare_csv(base, work)
     if base.suffix != ".wig1":
         return "bytes differ"
-    a, b = read_payload(base), read_payload(work)
+    a, b = read_field(base)[0], read_field(work)[0]
     if a.shape != b.shape:
         return f"shape {a.shape} -> {b.shape}"
     return f"bytes differ, payload max |diff| {abs_diff(a, b).max():.3e}"
