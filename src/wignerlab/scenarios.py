@@ -25,7 +25,8 @@ import numpy as np
 import yaml
 
 from . import io as wio
-from .dynamics import (_ehrenfest, boundary_mass, cross_validate,
+from .dynamics import (BOUNDARY_FLAG, _check_boundary, _ehrenfest,
+                       boundary_mass, cross_validate,
                        propagate_characteristic, propagate_moyal_exact,
                        propagate_moyal_truncated, propagate_schrodinger,
                        sample_steps)
@@ -298,8 +299,16 @@ def builtin_config(name: str) -> ScenarioConfig:
 # name once the runner has returned, if the scenario asks for the format
 # its suffix picks: .json (json), .csv (csv) or .wig1 (binary).
 
-def _monitors(drift, values) -> dict:
-    return {"norm_drift": drift, "boundary_mass": boundary_mass(values)}
+def _monitors(route: str, steps: int, t: float, drift: float, values,
+              flagged: bool = False, stop: bool = True) -> dict:
+    """Monitors of the reported field, reached after steps steps at t:
+    _check_boundary rules on its boundary mass unless stop is false, and
+    the mass or flagged (a field checked before was) flags the run."""
+    mass = boundary_mass(values)
+    if stop:
+        _check_boundary(route, steps, t, mass, None)
+    return {"norm_drift": drift, "boundary_mass": mass,
+            "boundary_flagged": flagged or mass > BOUNDARY_FLAG}
 
 
 def _run_wigner(grid, psi, potential, save):
@@ -313,12 +322,13 @@ def _run_wigner(grid, psi, potential, save):
     save("wigner.wig1", w.values, grid, w.t)
     save("wigner.csv", ("x", "p", "w"),
          wio.GridRows(grid.x, grid.p, w.values))
-    return metrics, _monitors(norm(psi) ** 2 - 1.0, w.values)
+    return metrics, _monitors("wigner", 0, w.t, norm(psi) ** 2 - 1.0, w.values)
 
 
 def _run_moments(grid, psi, potential, save):
+    w = wigner_transform(psi)
     operator_route = moments(psi).as_dict()
-    phase_route = moments(wigner_transform(psi)).as_dict()
+    phase_route = moments(w).as_dict()
     gap = max(abs(a - b) for a, b in zip(operator_route.values(),
                                          phase_route.values()))
     metrics = {"operator": operator_route, "phase_space": phase_route,
@@ -326,7 +336,8 @@ def _run_moments(grid, psi, potential, save):
     save("moments.csv", ("moment", "operator_route", "phase_space_route"),
          [(key, operator_route[key], phase_route[key])
           for key in operator_route])
-    return metrics, _monitors(norm(psi) ** 2 - 1.0, np.abs(psi.samples) ** 2)
+    return metrics, _monitors("moments", 0, w.t, norm(psi) ** 2 - 1.0,
+                              w.values)
 
 
 ROUTES = ("schrodinger", "moyal", "characteristic", "truncated")
@@ -345,7 +356,8 @@ def _run_evolve(grid, psi, potential, save, route, dt, t_final,
     state = to_characteristic(state) if kernel else state
     flags: list = []
     series = []
-    for steps in sample_steps(sample_times, dt, psi.t, t_final):
+    schedule = sample_steps(sample_times, dt, psi.t, t_final)
+    for steps in schedule:
         state = propagate(state, potential, dt, steps, boundary_flags=flags)
         # a sample reads one field: the Wigner field, or the kernel
         field = wigner_transform(state) if route == "schrodinger" else state
@@ -361,8 +373,12 @@ def _run_evolve(grid, psi, potential, save, route, dt, t_final,
         metrics["final_moments"] = report
         drift = norm(state) ** 2 if route == "schrodinger" else field.total()
         save("series.csv", ("t", *report), series)
-    return metrics, dict(_monitors(drift - 1.0, field.values),
-                         boundary_flagged=bool(flags))
+    # psi met BOUNDARY_HARD at every step, so the Wigner field made from it
+    # only flags the run: a box that cuts psi's correlation (sigma = 1 on
+    # +-8) leaves 1.9e-4 of that field at the edge, where psi has 4e-13
+    return metrics, _monitors(route, sum(schedule), field.t, drift - 1.0,
+                              field.values, bool(flags),
+                              stop=route != "schrodinger")
 
 
 def _run_validate(grid, psi, potential, save, dt, t_final, sample_times):
@@ -373,6 +389,7 @@ def _run_validate(grid, psi, potential, save, dt, t_final, sample_times):
         "max_norm_drift": max(abs(v) for v in report.norm_drift),
         "max_energy_drift": max(abs(v) for v in report.energy_drift),
     }
+    # cross_validate has ruled on the exact route's last field
     monitors = {"norm_drift": report.norm_drift[-1],
                 "boundary_mass": report.boundary[-1],
                 "boundary_flagged": report.boundary_flagged}
@@ -401,7 +418,7 @@ def _run_tomo(grid, psi, potential, save, n_angles):
          wio.GridRows(angles, tomo.x_axis, tomo.values))
     save("tomogram.wig1", tomo.values, grid, w.t)
     save("reconstruction.wig1", rec.values, grid, w.t)
-    return metrics, _monitors(w.total() - 1.0, w.values)
+    return metrics, _monitors("tomo", 0, w.t, w.total() - 1.0, w.values)
 
 
 def _run_ehrenfest(grid, psi, potential, save, dt, t_grid):
@@ -416,8 +433,9 @@ def _run_ehrenfest(grid, psi, potential, save, dt, t_grid):
     save("ehrenfest.csv", ("t", "mean_x", "mean_p", "mean_force",
                            "force_at_mean", "classical_x", "classical_p"),
          [tuple(row) for row in table])
-    return metrics, _monitors(norm(final) ** 2 - 1.0,
-                              np.abs(final.samples) ** 2)
+    return metrics, _monitors(
+        "schrodinger", sum(sample_steps(t_grid, dt, psi.t)), final.t,
+        norm(final) ** 2 - 1.0, np.abs(final.samples) ** 2)
 
 
 # section.key -> check, for every key that is not a plain number

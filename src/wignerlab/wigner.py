@@ -49,7 +49,8 @@ def upsample2(a: np.ndarray) -> np.ndarray:
     """
     n = a.shape[0]
     if n % 2:
-        raise StateError(f"upsample2 needs an even sample count, got n = {n}")
+        raise StateError("the Wigner and characteristic transforms need an "
+                         f"even sample count, got grid.n = {n}")
     spec = np.fft.fft(a, axis=0)
     padded = np.zeros((2 * n,) + a.shape[1:], dtype=complex)
     half = n // 2

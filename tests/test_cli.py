@@ -12,11 +12,12 @@ from wignerlab import (ConfigError, PropagationError, __version__,
                        propagate_characteristic, propagate_moyal_exact,
                        propagate_moyal_truncated, propagate_schrodinger,
                        quartic, to_characteristic, wigner_transform)
-from wignerlab.dynamics import boundary_mass
+from wignerlab.dynamics import BOUNDARY_FLAG, boundary_mass
 from wignerlab.cli import main
 from wignerlab.grid import square_grid
 from wignerlab.io import read_field
-from wignerlab.scenarios import ROUTES, _monitors, load_config, run_scenario
+from wignerlab.scenarios import (BUILTIN_SCENARIOS, ROUTES, _monitors,
+                                  builtin_config, load_config, run_scenario)
 
 QUICK_YAML = """\
 name: quick-cat
@@ -445,10 +446,44 @@ def test_ehrenfest_monitors_describe_the_evolved_state(tmp_path):
     monitors = json.loads((out / "manifest.json").read_text())["monitors"]
     psi = gaussian_packet(make_grid(128, -8.0, 8.0), 0.0, 2.0, 1.0)
     final = propagate_schrodinger(psi, free_particle(), 0.01, 100)
-    assert monitors == _monitors(norm(final) ** 2 - 1.0,
+    assert monitors == _monitors("schrodinger", 100, final.t,
+                                 norm(final) ** 2 - 1.0,
                                  np.abs(final.samples) ** 2)
     assert monitors["boundary_mass"] > 1e3 * boundary_mass(
         np.abs(psi.samples) ** 2)
+
+
+@pytest.mark.parametrize("kind", ["wigner", "moments"])
+def test_reported_wigner_field_past_the_hard_bound_stops_the_run(
+        tmp_path, capsys, kind):
+    """This cat's Wigner field has 0.166 of its mass in the outer 5 % of
+    the grid, 1,660 times BOUNDARY_HARD, while its density has 1e-13:
+    both experiments exited 0 when wigner ruled on no field and moments
+    on the density."""
+    path = tmp_path / "edge.yaml"
+    path.write_text("grid: {n: 96, x_min: -6.5, x_max: 6.5}\n"
+                    "state: {kind: cat, x0: 3.0, sigma: 0.4}\n"
+                    f"experiment: {{kind: {kind}}}\n")
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--output", str(out)]) == 4
+    route, step, t, quantity, value, threshold = monitor_trip(capsys)
+    assert (route, step, t, quantity, threshold) == (
+        kind, 0, 0.0, "boundary mass", 1e-4)
+    assert value == pytest.approx(0.166, rel=0.01)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_builtin_monitors_follow_the_boundary_rule(tmp_path, name):
+    """Every experiment reports the same three monitors, and flags a
+    reported field whose boundary mass passes BOUNDARY_FLAG.  The
+    Schrodinger route of free-spread read false beside the 4.5e-8 of
+    its final Wigner field, since only its density was checked."""
+    monitors = run_scenario(builtin_config(name), tmp_path)["monitors"]
+    assert set(monitors) == {"norm_drift", "boundary_mass",
+                             "boundary_flagged"}
+    if monitors["boundary_mass"] > BOUNDARY_FLAG:
+        assert monitors["boundary_flagged"] is True
 
 
 EXPERIMENTS = {

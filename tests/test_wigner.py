@@ -311,6 +311,15 @@ def test_hermitian_pair_matches_full_width_pair_on_battery(battery256):
         _assert_matches_full_width(psi)
 
 
+def test_odd_sample_count_names_the_grid():
+    """The refusal names the public input, not the private helper
+    upsample2 that makes it."""
+    psi = gaussian_packet(make_grid(63, -8.0, 8.0), 0.0, 0.0, 1.0)
+    with pytest.raises(StateError, match=r"grid\.n = 63") as refusal:
+        wigner_transform(psi)
+    assert "upsample2" not in str(refusal.value)
+
+
 def test_odd_sample_count_rejected():
     g = make_grid(65, -8.0, 8.0)
     with pytest.raises(StateError, match="even sample count"):
